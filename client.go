@@ -62,9 +62,9 @@ func UnregisterPolicy(name string) { place.Unregister(name) }
 func ResolvePolicy(name string) (Policy, error) { return place.Resolve(name) }
 
 // Infer simulates one of the paper's machines, runs MCTOP-ALG and enriches
-// the result — the context-aware successor of InferPlatform. The context
-// cancels the O(N²) measurement phase between pairs; a cancelled inference
-// returns ctx.Err(). Unknown platforms wrap ErrUnknownPlatform.
+// the result. The context cancels the O(N²) measurement phase between
+// pairs; a cancelled inference returns ctx.Err(). Unknown platforms wrap
+// ErrUnknownPlatform.
 func Infer(ctx context.Context, platform string, seed uint64, opts ...Option) (*Topology, error) {
 	t, _, err := InferDetailed(ctx, platform, seed, opts...)
 	return t, err
@@ -80,8 +80,8 @@ func InferDetailed(ctx context.Context, platform string, seed uint64, opts ...Op
 	return inferPlatform(ctx, platform, seed, o)
 }
 
-// inferPlatform is the shared simulate → infer → enrich pipeline behind
-// both the context-aware API and the deprecated InferPlatform* shims.
+// inferPlatform is the simulate → infer → enrich pipeline behind
+// InferDetailed and the registry's compute step.
 func inferPlatform(ctx context.Context, name string, seed uint64, opt Options) (*Topology, *InferResult, error) {
 	p, err := sim.ByName(name)
 	if err != nil {

@@ -109,6 +109,17 @@ func TestMaxContextsRefusal(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("under-bound topology: %d %s, want 200", resp.StatusCode, body)
 	}
+
+	// The bound is checked from the name, before the platform is built:
+	// refusing a 1M-context spec must not generate its 1024-socket mesh.
+	const huge = "gen:mesh:s1024:c512:t2"
+	resp, body = get(t, ts, "/v1/topology?platform="+huge)
+	if resp.StatusCode != 413 || !strings.Contains(string(body), "1048576") {
+		t.Fatalf("1M-context topology: %d %s, want 413 naming its size", resp.StatusCode, body)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.validatePlatform(huge) }); allocs > 64 {
+		t.Fatalf("refusing %s allocates %.0f objects; the platform was built before the bound was checked", huge, allocs)
+	}
 	resp, body = get(t, ts, "/v1/topology?platform=Ivy&seed=1")
 	if resp.StatusCode != 200 {
 		t.Fatalf("golden platform under bound: %d %s, want 200", resp.StatusCode, body)

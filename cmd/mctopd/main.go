@@ -682,11 +682,13 @@ func (s *server) validatePlatform(platform string) error {
 	if platform == "" {
 		return fmt.Errorf("%w: missing platform (one of: %s; or a gen: spec)", mctoperr.ErrInvalidRequest, strings.Join(mctop.Platforms(), ", "))
 	}
-	p, err := sim.ByName(platform)
+	// Counted from the name: building a platform just to size it would
+	// spend the work the bound exists to refuse.
+	n, err := sim.NumContextsByName(platform)
 	if err != nil {
 		return err
 	}
-	if n := p.NumContexts(); s.maxContexts > 0 && n > s.maxContexts {
+	if s.maxContexts > 0 && n > s.maxContexts {
 		return fmt.Errorf("%w: platform %q has %d hardware contexts, over this daemon's limit of %d",
 			mctoperr.ErrTooLarge, platform, n, s.maxContexts)
 	}

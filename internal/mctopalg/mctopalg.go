@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -51,14 +49,14 @@ type Options struct {
 	// SkipMemoryProbe disables the local-node assignment probe even when
 	// the machine supports it (sockets then map to nodes by index).
 	SkipMemoryProbe bool
-	// Parallelism bounds the worker pool of the measurement phase on
-	// machines implementing machine.Forker (0 = GOMAXPROCS, 1 = one
-	// worker). The inferred topology is byte-identical for every value:
-	// each pair is measured on its own fork whose noise stream depends
-	// only on (seed, x, y), and results merge in canonical pair order —
-	// a Forker machine takes the forked path even at Parallelism 1.
-	// Machines without Forker always measure sequentially through the
-	// parent's single noise stream.
+	// Parallelism bounds the fork executor's worker pool, which measures
+	// a pair plan (exhaustive or sampled) on machines implementing
+	// machine.Forker (0 = GOMAXPROCS, 1 = one worker). The inferred
+	// topology is byte-identical for every value: each pair is measured on
+	// its own fork whose noise stream depends only on (seed, x, y) — a
+	// Forker machine takes the fork executor even at Parallelism 1.
+	// Machines without Forker run the exhaustive plan on the serial
+	// executor, through the parent's single noise stream.
 	Parallelism int
 	// Sampling configures the sub-O(N²) sampled measurement mode for large
 	// Forker machines (see sampled.go). Like ForkedEnrich — and unlike
@@ -215,7 +213,7 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 	}
 
 	// Step 2: cluster and normalize.
-	var offDiag []int64
+	offDiag := make([]int64, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			offDiag = append(offDiag, res.RawTable[i][j])
@@ -247,10 +245,11 @@ func InferContext(ctx context.Context, m machine.Machine, opt Options) (*Result,
 	return res, nil
 }
 
-// collectTable fills res.RawTable using the lock-step protocol of Figure 5.
-// Machines implementing machine.Forker measure pairs on independent forks,
-// fanned out over Options.Parallelism workers; everything else measures
-// sequentially through the parent machine.
+// collectTable fills res.RawTable using the lock-step protocol of Figure 5:
+// a plan says which context pairs to measure, an executor measures them.
+// Machines implementing machine.Forker run the exhaustive or the sampled
+// plan (sampled.go) on the pooled fork executor; every other machine runs
+// the exhaustive plan on the serial executor.
 func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Result) error {
 	n := m.NumHWContexts()
 	res.RawTable = make([][]int64, n)
@@ -258,13 +257,64 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 		res.RawTable[i] = make([]int64, n)
 	}
 
-	if fk, ok := m.(machine.Forker); ok {
-		if opt.Sampling.Enabled && n >= opt.Sampling.MinContexts {
-			return collectTableSampled(ctx, fk, m, opt, res)
-		}
-		return collectTableForked(ctx, fk, m, opt, res)
+	fk, ok := m.(machine.Forker)
+	if !ok {
+		return measureSerial(ctx, m, opt, res, exhaustive(n))
 	}
+	// The reported rdtsc overhead comes from the parent machine, like the
+	// serial executor's; the forks estimate and deduct their own.
+	t0, err := m.NewThread(0)
+	if err != nil {
+		return err
+	}
+	dvfsWait(m, opt, t0)
+	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
+	measure := func(p plan) error { return measureForked(ctx, fk, opt, res, p) }
+	if opt.Sampling.Enabled && n >= opt.Sampling.MinContexts {
+		return collectSampled(ctx, measure, n, opt, res)
+	}
+	return measure(exhaustive(n))
+}
 
+// plan is a sequence of context pairs (x < y) to measure, produced on
+// demand and never stored: calling it yields each pair in order until yield
+// returns false, and reports whether it ran to the end. A plan may be
+// walked more than once.
+type plan func(yield func(x, y int) bool) bool
+
+// exhaustive is the plan of every pair in canonical (x, y) order.
+func exhaustive(n int) plan {
+	return func(yield func(x, y int) bool) bool {
+		for x := 0; x < n-1; x++ {
+			for y := x + 1; y < n; y++ {
+				if !yield(x, y) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+}
+
+// where keeps the pairs of p that satisfy keep.
+func (p plan) where(keep func(x, y int) bool) plan {
+	return func(yield func(x, y int) bool) bool {
+		return p(func(x, y int) bool { return !keep(x, y) || yield(x, y) })
+	}
+}
+
+// size counts the pairs of p.
+func (p plan) size() int {
+	n := 0
+	p(func(int, int) bool { n++; return true })
+	return n
+}
+
+// measureSerial is the executor for machines that must not fork (real
+// hosts, any non-Forker): it measures a plan's pairs one after another on
+// two threads of the parent machine, re-pinning x whenever the plan moves
+// to a new x, pinning y for every pair, and waiting out DVFS after each pin.
+func measureSerial(ctx context.Context, m machine.Machine, opt *Options, res *Result, p plan) error {
 	x, err := m.NewThread(0)
 	if err != nil {
 		return err
@@ -274,176 +324,101 @@ func collectTable(ctx context.Context, m machine.Machine, opt *Options, res *Res
 		return err
 	}
 	start := x.Rdtsc()
-
 	sc := newScratch(opt)
 	dvfsWait(m, opt, x)
 	res.RdtscOverhead = sc.rdtscOverhead(x)
 
-	fast, _ := m.(machine.PairMeasurer)
-
-	for xi := 0; xi < n-1; xi++ {
-		if err := x.Pin(xi); err != nil {
-			return err
-		}
-		dvfsWait(m, opt, x)
-		for yi := xi + 1; yi < n; yi++ {
-			if err := ctx.Err(); err != nil {
-				return err
+	pinned := -1
+	p(func(xi, yi int) bool {
+		if xi != pinned {
+			if err = x.Pin(xi); err != nil {
+				return false
 			}
-			if err := y.Pin(yi); err != nil {
-				return err
-			}
-			dvfsWait(m, opt, y)
-			var med int64
-			if fast != nil {
-				vals := fast.MeasurePair(xi, yi, opt.Reps)
-				med = acceptOrRetryRaw(vals, opt, &res.Retries, func() []int64 {
-					return fast.MeasurePair(xi, yi, opt.Reps)
-				})
-			} else {
-				med = measurePair(m, opt, x, y, res.RdtscOverhead, &res.Retries, sc)
-			}
-			res.RawTable[xi][yi] = med
-			res.RawTable[yi][xi] = med
-			res.Pairs++
+			dvfsWait(m, opt, x)
+			pinned = xi
 		}
-	}
-	res.Cycles = x.Rdtsc() - start
-	return nil
-}
-
-// pairOutcome is one pair's contribution to the latency table, produced by a
-// worker and merged in canonical pair order.
-type pairOutcome struct {
-	med     int64
-	cycles  int64
-	retries int
-	err     error
-}
-
-// ctxPair is one (x, y) context pair, x < y.
-type ctxPair struct{ x, y int }
-
-// allPairs enumerates every context pair in the canonical (x, y) order the
-// sequential loop uses.
-func allPairs(n int) []ctxPair {
-	pairs := make([]ctxPair, 0, n*(n-1)/2)
-	for x := 0; x < n-1; x++ {
-		for y := x + 1; y < n; y++ {
-			pairs = append(pairs, ctxPair{x, y})
+		if err = ctx.Err(); err != nil {
+			return false
 		}
-	}
-	return pairs
-}
-
-// collectTableForked measures every context pair on its own forked machine.
-// The workers only decide *when* a pair is measured, never *what* it
-// observes: each fork's noise stream is a pure function of (seed, x, y), and
-// the merge walks pairs in the same (x, y) order the sequential loop uses,
-// so the resulting table — and hence the inferred topology — is
-// byte-identical for every Parallelism, including 1.
-func collectTableForked(ctx context.Context, fk machine.Forker, m machine.Machine, opt *Options, res *Result) error {
-	// The reported rdtsc overhead comes from the parent machine, like the
-	// sequential path's; the forks estimate and deduct their own.
-	t0, err := m.NewThread(0)
-	if err != nil {
-		return err
-	}
-	dvfsWait(m, opt, t0)
-	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
-
-	pairs := allPairs(m.NumHWContexts())
-	outcomes, err := runPairsForked(ctx, fk, opt, pairs)
-	if err != nil {
-		return err
-	}
-	for i, p := range pairs {
-		o := outcomes[i]
-		res.RawTable[p.x][p.y] = o.med
-		res.RawTable[p.y][p.x] = o.med
+		if err = y.Pin(yi); err != nil {
+			return false
+		}
+		dvfsWait(m, opt, y)
+		med := measurePair(m, opt, x, y, res.RdtscOverhead, &res.Retries, sc)
+		res.RawTable[xi][yi], res.RawTable[yi][xi] = med, med
 		res.Pairs++
-		res.Retries += o.retries
-		res.Cycles += o.cycles
-	}
-	return nil
+		return true
+	})
+	res.Cycles = x.Rdtsc() - start
+	return err
 }
 
-// runPairsForked measures a list of pairs over an Options.Parallelism worker
-// pool, each pair on its own fork, and returns the outcomes indexed like the
-// input. Each worker owns one scratch buffer set for its whole run — the
-// hot-loop allocations happen once per worker, not once per pair.
-func runPairsForked(ctx context.Context, fk machine.Forker, opt *Options, pairs []ctxPair) ([]pairOutcome, error) {
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	workers := opt.Parallelism
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	outcomes := make([]pairOutcome, len(pairs))
-	var next int64
-	var failed atomic.Bool // fail fast: don't measure O(N²) pairs past a doomed run
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newScratch(opt)
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(pairs) || failed.Load() || ctx.Err() != nil {
-					return
-				}
-				outcomes[i] = measurePairForked(fk, opt, pairs[i].x, pairs[i].y, sc)
-				if outcomes[i].err != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+// forkWindow bounds how many of a plan's pairs the fork executor holds at
+// once: the plan is walked in windows of this many pairs, each measured by
+// one run of the fork pool, so memory stays flat however large the plan.
+const forkWindow = 1024
 
-	// A cancelled run reports ctx.Err() even if a pair also failed: the
-	// caller asked to stop, and the partial table is unusable either way.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if failed.Load() {
-		for i := range pairs {
-			if outcomes[i].err != nil {
-				return nil, outcomes[i].err
+// measureForked is the pooled fork executor: each pair of the plan runs its
+// full measurement — DVFS wait, overhead estimation, the Figure 5 lock-step
+// loop — on a private fork, over Options.Parallelism workers, and its median
+// goes straight into res.RawTable. The workers only decide *when* a pair is
+// measured, never *what* it observes: each fork's noise stream is a pure
+// function of (seed, x, y), and the per-worker Pairs/Retries/Cycles sums
+// commute, so the table — and hence the inferred topology — is
+// byte-identical for every Parallelism, including 1. Each worker owns one
+// scratch buffer set for a whole window, so the hot loop allocates once per
+// worker and window, not once per pair.
+func measureForked(ctx context.Context, fk machine.Forker, opt *Options, res *Result, p plan) error {
+	window := make([][2]int, 0, forkWindow)
+	run := func() error {
+		var sums []*Result // per worker: Pairs, Retries and Cycles only
+		err := machine.RunForks(ctx, opt.Parallelism, len(window), func() func(int) error {
+			sc, sum := newScratch(opt), &Result{}
+			sums = append(sums, sum)
+			return func(i int) error {
+				xi, yi := window[i][0], window[i][1]
+				fm, err := fk.ForkPair(xi, yi)
+				if err != nil {
+					return err
+				}
+				x, err := fm.NewThread(xi)
+				if err != nil {
+					return err
+				}
+				y, err := fm.NewThread(yi)
+				if err != nil {
+					return err
+				}
+				start := x.Rdtsc()
+				dvfsWait(fm, opt, x)
+				dvfsWait(fm, opt, y)
+				med := measurePair(fm, opt, x, y, sc.rdtscOverhead(x), &sum.Retries, sc)
+				res.RawTable[xi][yi], res.RawTable[yi][xi] = med, med
+				sum.Pairs++
+				sum.Cycles += x.Rdtsc() - start
+				return nil
 			}
+		})
+		for _, sum := range sums {
+			res.Pairs += sum.Pairs
+			res.Retries += sum.Retries
+			res.Cycles += sum.Cycles
 		}
+		window = window[:0]
+		return err
 	}
-	return outcomes, nil
-}
-
-// measurePairForked runs one pair's full measurement — DVFS wait, overhead
-// estimation, the Figure 5 lock-step loop — on a private fork.
-func measurePairForked(fk machine.Forker, opt *Options, xi, yi int, sc *scratch) pairOutcome {
-	fm, err := fk.ForkPair(xi, yi)
+	var err error
+	p(func(x, y int) bool {
+		window = append(window, [2]int{x, y})
+		if len(window) == forkWindow {
+			err = run()
+		}
+		return err == nil
+	})
 	if err != nil {
-		return pairOutcome{err: err}
+		return err
 	}
-	x, err := fm.NewThread(xi)
-	if err != nil {
-		return pairOutcome{err: err}
-	}
-	y, err := fm.NewThread(yi)
-	if err != nil {
-		return pairOutcome{err: err}
-	}
-	start := x.Rdtsc()
-	dvfsWait(fm, opt, x)
-	dvfsWait(fm, opt, y)
-	overhead := sc.rdtscOverhead(x)
-	var o pairOutcome
-	o.med = measurePair(fm, opt, x, y, overhead, &o.retries, sc)
-	o.cycles = x.Rdtsc() - start
-	return o
+	return run()
 }
 
 // dvfsWait spins until consecutive calibrated loops take the same time,
@@ -523,66 +498,41 @@ func estimateRdtscOverhead(t machine.Thread, sc *scratch) int64 {
 	return stats.MedianInPlace(vals)
 }
 
-// measurePair runs the lock-step loop of Figure 5 through the generic
-// thread interface and returns the accepted median, deducting the given
-// timestamp-read overhead and counting re-measurements into retries. The
-// acceptance rule is acceptOrRetryRaw's, inlined over the scratch buffer so
-// the loop is allocation-free (asserted by TestMeasurePairSteadyStateAllocs).
+// measurePair measures one pair with the lock-step loop of Figure 5 — or
+// the machine's native loop when it implements machine.PairMeasurer — and
+// applies the stability rule of Section 3.5: accept the median if the
+// standard deviation is below the threshold, otherwise re-measure with a
+// widened threshold (7% -> 14% by default). It deducts the given
+// timestamp-read overhead from generic samples and counts re-measurements
+// into retries. The generic loop runs over the scratch buffer and allocates
+// nothing (asserted by TestMeasurePairSteadyStateAllocs).
 func measurePair(m machine.Machine, opt *Options, x, y machine.Thread, rdtscOverhead int64, retries *int, sc *scratch) int64 {
 	const line = 0x6c0c6 // arbitrary shared-line id
+	fast, _ := m.(machine.PairMeasurer)
 	threshold := opt.StdevThreshold
 	sc.barr[0], sc.barr[1] = x, y
 	for retry := 0; ; retry++ {
 		vals := sc.vals[:0]
-		for i := 0; i < opt.Reps; i++ {
-			m.Barrier(sc.barr...)
-			y.CAS(line)
-			m.Barrier(sc.barr...)
-			s := x.Rdtsc()
-			x.CAS(line)
-			e := x.Rdtsc()
-			v := e - s - rdtscOverhead
-			if v < 0 {
-				v = 0
+		if fast != nil {
+			vals = fast.MeasurePair(x.Ctx(), y.Ctx(), opt.Reps)
+		} else {
+			for i := 0; i < opt.Reps; i++ {
+				m.Barrier(sc.barr...)
+				y.CAS(line)
+				m.Barrier(sc.barr...)
+				s := x.Rdtsc()
+				x.CAS(line)
+				e := x.Rdtsc()
+				vals = append(vals, max(e-s-rdtscOverhead, 0))
 			}
-			vals = append(vals, v)
 		}
-		sc.vals = vals[:0]
 		sd := stats.Stdev(vals)
-		med := stats.MedianInPlace(vals)
-		if med <= 0 {
-			med = 1
-		}
+		med := max(stats.MedianInPlace(vals), 1)
 		if sd <= threshold*float64(med) || retry >= opt.MaxRetries {
 			return med
 		}
 		*retries++
-		threshold += (opt.StdevThresholdMax - opt.StdevThreshold) / float64(opt.MaxRetries)
-		if threshold > opt.StdevThresholdMax {
-			threshold = opt.StdevThresholdMax
-		}
-	}
-}
-
-// acceptOrRetryRaw applies the stability rule of Section 3.5: accept the
-// median if the standard deviation is below the threshold; otherwise
-// re-measure with a widened threshold (7% -> 14% by default).
-func acceptOrRetryRaw(vals []int64, opt *Options, retries *int, again func() []int64) int64 {
-	threshold := opt.StdevThreshold
-	for retry := 0; ; retry++ {
-		med := stats.Median(vals)
-		if med <= 0 {
-			med = 1
-		}
-		if stats.Stdev(vals) <= threshold*float64(med) || retry >= opt.MaxRetries {
-			return med
-		}
-		*retries++
-		threshold += (opt.StdevThresholdMax - opt.StdevThreshold) / float64(opt.MaxRetries)
-		if threshold > opt.StdevThresholdMax {
-			threshold = opt.StdevThresholdMax
-		}
-		vals = again()
+		threshold = min(threshold+(opt.StdevThresholdMax-opt.StdevThreshold)/float64(opt.MaxRetries), opt.StdevThresholdMax)
 	}
 }
 

@@ -19,17 +19,25 @@
 //     signatures, so same-core pairs hide inside classes where probes
 //     could not catch them.
 //
-// Exhaustive-equality: every measured pair goes through the same
-// measurePairForked path as the exhaustive mode, and a fork's noise stream
-// depends only on (seed, x, y) — measured values are byte-identical by
-// construction, regardless of which other pairs were measured. Filled
-// values are exact on noise-free generated platforms, where a pair's median
-// is a pure function of its latency level. Platforms with per-measurement
-// jitter or deterministic in-level spread (all five golden machines) are
-// detected up front — their pilot medians do not form exact plateaus — and
-// fall back to measuring everything, trading the speedup for exactness.
-// The equality is property-tested against the exhaustive mode on the golden
-// five and on generated mesh/ring/circulant platforms (sampled_test.go).
+// Each phase is a pair plan — a sequence of pairs produced on demand, never
+// stored — run by the same fork executor as the exhaustive plan: the pilot
+// wave, then the verify wave (whole small and diagonal blocks plus the
+// probes), then the fallback wave (the rest of every block whose probes
+// disagree). Only the class member lists are materialized, never a block's
+// pairs.
+//
+// Exhaustive-equality: every measured pair goes through the same executor
+// as the exhaustive mode, and a fork's noise stream depends only on
+// (seed, x, y) — measured values are byte-identical by construction,
+// regardless of which other pairs were measured. Filled values are exact on
+// noise-free generated platforms, where a pair's median is a pure function
+// of its latency level. Platforms with per-measurement jitter or
+// deterministic in-level spread (all five golden machines) are detected up
+// front — their pilot medians do not form exact plateaus — and the verify
+// wave then measures every remaining non-pilot pair, trading the speedup
+// for exactness. The equality is property-tested against the exhaustive
+// mode on the golden five and on generated mesh/ring/circulant platforms
+// (sampled_test.go).
 package mctopalg
 
 import (
@@ -40,7 +48,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -106,43 +113,24 @@ func (s SamplingOptions) pilotCount(n int) int {
 // falls back to exhaustive measurement.
 const noiseGapMin = 8
 
-// collectTableSampled fills res.RawTable measuring only a subset of pairs
-// (see the package comment above). An unmeasured entry is 0 until filled;
-// measured medians are always >= 1.
-func collectTableSampled(ctx context.Context, fk machine.Forker, m machine.Machine, opt *Options, res *Result) error {
-	n := m.NumHWContexts()
+// collectSampled fills res.RawTable measuring only a subset of pairs (see
+// the package comment above) through measure, the fork executor. Each wave
+// is one plan and one span on a traced request — never one span per pair;
+// the measurement hot loop stays allocation-free. An unmeasured entry is 0
+// until filled; measured medians are always >= 1.
+func collectSampled(ctx context.Context, measure func(plan) error, n int, opt *Options, res *Result) error {
 	res.Sampled = true
-
-	t0, err := m.NewThread(0)
-	if err != nil {
-		return err
-	}
-	dvfsWait(m, opt, t0)
-	res.RdtscOverhead = estimateRdtscOverhead(t0, newScratch(opt))
-
-	record := func(pairs []ctxPair, outs []pairOutcome) {
-		for i, p := range pairs {
-			o := outs[i]
-			res.RawTable[p.x][p.y] = o.med
-			res.RawTable[p.y][p.x] = o.med
-			res.Pairs++
-			res.Retries += o.retries
-			res.Cycles += o.cycles
-		}
-	}
-	measure := func(pairs []ctxPair) error {
-		outs, err := runPairsForked(ctx, fk, opt, pairs)
+	wave := func(span *trace.Span, p plan) error {
+		defer span.End()
+		err := measure(p)
 		if err != nil {
-			return err
+			span.SetError(err)
 		}
-		record(pairs, outs)
-		return nil
+		return err
 	}
 
 	// Phase 1: pilots. Evenly spaced pilot contexts, every pair touching
-	// one of them, in canonical (x, y) order. Each phase below is one span
-	// on a traced request — never one per pair; the measurement hot loop
-	// stays allocation-free.
+	// one of them.
 	_, pilotSpan := trace.Start(ctx, "infer.pilots")
 	k := opt.Sampling.pilotCount(n)
 	stride := n / k
@@ -152,28 +140,12 @@ func collectTableSampled(ctx context.Context, fk machine.Forker, m machine.Machi
 		pilots[i] = i * stride
 		isPilot[i*stride] = true
 	}
-	wave1 := make([]ctxPair, 0, k*n)
-	for x := 0; x < n-1; x++ {
-		if isPilot[x] {
-			for y := x + 1; y < n; y++ {
-				wave1 = append(wave1, ctxPair{x, y})
-			}
-		} else {
-			for _, p := range pilots {
-				if p > x {
-					wave1 = append(wave1, ctxPair{x, p})
-				}
-			}
-		}
-	}
+	pilotWave := exhaustive(n).where(func(x, y int) bool { return isPilot[x] || isPilot[y] })
 	pilotSpan.SetInt("pilots", int64(k))
-	pilotSpan.SetInt("pairs", int64(len(wave1)))
-	if err := measure(wave1); err != nil {
-		pilotSpan.SetError(err)
-		pilotSpan.End()
+	pilotSpan.SetInt("pairs", int64(pilotWave.size()))
+	if err := wave(pilotSpan, pilotWave); err != nil {
 		return err
 	}
-	pilotSpan.End()
 
 	// Classes: non-pilot contexts grouped by their latency signature to the
 	// pilots. Pilot contexts are fully measured already and join no class.
@@ -203,13 +175,14 @@ func collectTableSampled(ctx context.Context, fk machine.Forker, m machine.Machi
 	// Noise gate: exact plateaus only. Any two distinct pilot medians
 	// closer than noiseGapMin mean in-level spread, so class fills would
 	// not be exact — measure everything instead.
-	distinct := make([]int64, 0, 64)
 	seen := map[int64]bool{}
-	for _, p := range wave1 {
-		if v := res.RawTable[p.x][p.y]; !seen[v] {
-			seen[v] = true
-			distinct = append(distinct, v)
-		}
+	pilotWave(func(x, y int) bool {
+		seen[res.RawTable[x][y]] = true
+		return true
+	})
+	distinct := make([]int64, 0, len(seen))
+	for v := range seen {
+		distinct = append(distinct, v)
 	}
 	slices.Sort(distinct)
 	noisy := false
@@ -223,126 +196,165 @@ func collectTableSampled(ctx context.Context, fk machine.Forker, m machine.Machi
 	classSpan.SetBool("noisy", noisy)
 	classSpan.End()
 
-	// Phase 2: per class-pair block, decide representative + probes, or
-	// exhaustive fallback.
+	// Phase 2: every class-pair block (ci <= cj) is measured whole, or by
+	// its probes with the rest left to phase 3. A noisy run just measures
+	// every remaining (non-pilot) pair.
 	_, verifySpan := trace.Start(ctx, "infer.verify")
 	V := opt.Sampling.VerifyPerBlock
-	type block struct {
-		pairs    []ctxPair // unmeasured pairs, canonical order
-		probeIdx []int     // indices into pairs measured for verification
-	}
-	var blocks []block
-	var exhaustNow []ctxPair // diagonal, small, or noisy-run blocks
-	for ci := 0; ci < len(classes); ci++ {
-		for cj := ci; cj < len(classes); cj++ {
-			var bp []ctxPair
-			if ci == cj {
-				members := classes[ci]
-				for i := 0; i < len(members)-1; i++ {
-					for j := i + 1; j < len(members); j++ {
-						bp = append(bp, ctxPair{members[i], members[j]})
-					}
-				}
-			} else {
-				for _, a := range classes[ci] {
-					for _, b := range classes[cj] {
-						x, y := a, b
-						if x > y {
-							x, y = y, x
-						}
-						bp = append(bp, ctxPair{x, y})
-					}
+	eachBlock := func(f func(probes, rest plan) bool) bool {
+		for ci := range classes {
+			for cj := ci; cj < len(classes); cj++ {
+				if !f(classBlock(classes[ci], classes[cj], ci == cj, V)) {
+					return false
 				}
 			}
-			sort.Slice(bp, func(i, j int) bool {
-				return bp[i].x < bp[j].x || bp[i].x == bp[j].x && bp[i].y < bp[j].y
-			})
-			if noisy || ci == cj || len(bp) <= V+1 {
-				exhaustNow = append(exhaustNow, bp...)
-				continue
-			}
-			blocks = append(blocks, block{pairs: bp, probeIdx: probeIndices(bp, V)})
 		}
+		return true
 	}
+	verifyWave := plan(func(yield func(x, y int) bool) bool {
+		return eachBlock(func(probes, _ plan) bool { return probes(yield) })
+	})
+	probed := 0
 	if noisy {
+		verifyWave = exhaustive(n).where(func(x, y int) bool { return !isPilot[x] && !isPilot[y] })
 		res.FallbackBlocks = len(classes) * (len(classes) + 1) / 2
+	} else {
+		eachBlock(func(_, rest plan) bool {
+			if rest != nil {
+				probed++
+			}
+			return true
+		})
 	}
-
-	wave2 := append([]ctxPair(nil), exhaustNow...)
-	for _, b := range blocks {
-		for _, pi := range b.probeIdx {
-			wave2 = append(wave2, b.pairs[pi])
-		}
-	}
-	verifySpan.SetInt("pairs", int64(len(wave2)))
-	verifySpan.SetInt("blocks", int64(len(blocks)))
-	if err := measure(wave2); err != nil {
-		verifySpan.SetError(err)
-		verifySpan.End()
+	verifySpan.SetInt("pairs", int64(verifyWave.size()))
+	verifySpan.SetInt("blocks", int64(probed))
+	if err := wave(verifySpan, verifyWave); err != nil {
 		return err
 	}
-	verifySpan.End()
 
-	// Phase 3: fill verified blocks, exhaustively measure the rest.
+	// Phase 3: fill the blocks whose probes all agree with their
+	// representative (the first probe); measure the rest of the others.
 	_, fillSpan := trace.Start(ctx, "infer.fill")
-	var wave3 []ctxPair
-	for _, b := range blocks {
-		rep := res.RawTable[b.pairs[b.probeIdx[0]].x][b.pairs[b.probeIdx[0]].y]
-		agree := true
-		for _, pi := range b.probeIdx[1:] {
-			if res.RawTable[b.pairs[pi].x][b.pairs[pi].y] != rep {
-				agree = false
-				break
+	var fallback []plan
+	if !noisy {
+		eachBlock(func(probes, rest plan) bool {
+			if rest == nil {
+				return true
 			}
-		}
-		if !agree {
-			res.FallbackBlocks++
-			for _, p := range b.pairs {
-				if res.RawTable[p.x][p.y] == 0 {
-					wave3 = append(wave3, p)
+			var rep int64
+			agree := probes(func(x, y int) bool {
+				if rep == 0 {
+					rep = res.RawTable[x][y]
 				}
+				return res.RawTable[x][y] == rep
+			})
+			if !agree {
+				fallback = append(fallback, rest)
+				return true
 			}
-			continue
-		}
-		for _, p := range b.pairs {
-			if res.RawTable[p.x][p.y] == 0 {
-				res.RawTable[p.x][p.y] = rep
-				res.RawTable[p.y][p.x] = rep
+			rest(func(x, y int) bool {
+				res.RawTable[x][y], res.RawTable[y][x] = rep, rep
 				res.FilledPairs++
-			}
-		}
+				return true
+			})
+			return true
+		})
+		res.FallbackBlocks = len(fallback)
 	}
 	fillSpan.SetInt("filled", int64(res.FilledPairs))
 	fillSpan.SetInt("fallback_blocks", int64(res.FallbackBlocks))
-	if err := measure(wave3); err != nil {
-		fillSpan.SetError(err)
-		fillSpan.End()
-		return err
-	}
-	fillSpan.End()
-
-	// Every off-diagonal entry must now be measured or filled.
-	for x := 0; x < n-1; x++ {
-		for y := x + 1; y < n; y++ {
-			if res.RawTable[x][y] == 0 {
-				return fmt.Errorf("mctopalg: internal error: sampled measurement left pair (%d,%d) unset", x, y)
+	fallbackWave := func(yield func(x, y int) bool) bool {
+		for _, rest := range fallback {
+			if !rest(yield) {
+				return false
 			}
 		}
+		return true
+	}
+	if err := wave(fillSpan, fallbackWave); err != nil {
+		return err
+	}
+
+	// Every off-diagonal entry must now be measured or filled.
+	if !exhaustive(n)(func(x, y int) bool { return res.RawTable[x][y] != 0 }) {
+		return fmt.Errorf("mctopalg: internal error: sampled measurement left a pair unset")
 	}
 	return nil
 }
 
-// probeIndices returns the verification probes of a block: its first and
-// last pair (the corners of the sorted order) plus deterministic seeded
-// interior picks, v+1 indices in total, ascending. The selection is a pure
-// function of the block's pairs, so it is independent of measurement order
-// and parallelism.
-func probeIndices(bp []ctxPair, v int) []int {
-	idx := []int{0, len(bp) - 1}
-	h := uint64(bp[0].x)<<32 | uint64(bp[0].y)
-	for len(idx) < v+1 && len(idx) < len(bp) {
+// classBlock returns the plans of the class-pair block (a, b) — the pairs
+// within class a when same, else every {a_i, b_j}: probes is what phase 2
+// measures and rest what phase 3 fills or measures. A block is measured
+// whole (rest is nil) when it is on the diagonal — SMT siblings share
+// signatures, so same-core pairs hide inside classes where probes could not
+// catch them — or has no more than v+1 pairs.
+func classBlock(a, b []int, same bool, v int) (probes, rest plan) {
+	if same {
+		return func(yield func(x, y int) bool) bool {
+			for i, x := range a {
+				for _, y := range a[i+1:] {
+					if !yield(x, y) {
+						return false
+					}
+				}
+			}
+			return true
+		}, nil
+	}
+	// Canonical order: merge the ascending member lists; the smaller head
+	// pairs with every member of the other class above it.
+	all := plan(func(yield func(x, y int) bool) bool {
+		for i, j := 0, 0; i < len(a) && j < len(b); {
+			x, others := a[i], b[j:]
+			if b[j] < a[i] {
+				x, others = b[j], a[i:]
+				j++
+			} else {
+				i++
+			}
+			for _, y := range others {
+				if !yield(x, y) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	size := len(a) * len(b)
+	if size <= v+1 {
+		return all, nil
+	}
+	idx := probeIndices(min(a[0], b[0]), max(a[0], b[0]), size, v)
+	return all.at(idx, true), all.at(idx, false)
+}
+
+// at keeps the pairs of p whose positions are in idx (ascending) when in is
+// true, and the others when it is false.
+func (p plan) at(idx []int, in bool) plan {
+	return func(yield func(x, y int) bool) bool {
+		pos, k := 0, 0
+		return p(func(x, y int) bool {
+			hit := k < len(idx) && idx[k] == pos
+			if hit {
+				k++
+			}
+			pos++
+			return hit != in || yield(x, y)
+		})
+	}
+}
+
+// probeIndices returns the positions of a block's verification probes among
+// its size pairs in canonical order: the first and last pair (the block's
+// corners) plus deterministic interior picks seeded by the first pair
+// (x0, y0), v+1 positions in total, ascending. The selection depends only
+// on the block, so it is independent of measurement order and parallelism.
+func probeIndices(x0, y0, size, v int) []int {
+	idx := []int{0, size - 1}
+	h := uint64(x0)<<32 | uint64(y0)
+	for len(idx) < v+1 && len(idx) < size {
 		h = splitmix64(h)
-		cand := int(h % uint64(len(bp)))
+		cand := int(h % uint64(size))
 		if !slices.Contains(idx, cand) {
 			idx = append(idx, cand)
 		}

@@ -10,11 +10,9 @@
 package plugins
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -111,7 +109,7 @@ const (
 // on independent forks over a bounded worker pool. For a fixed machine seed
 // the result is deterministic and byte-identical for every worker count —
 // each probe's noise stream is a pure function of (seed, plugin, probe) and
-// results merge in canonical probe order — but it differs from Enrich's
+// each result lands in its probe's own slot — but it differs from Enrich's
 // (equally valid) measurements by the noise amplitude, because Enrich's
 // probes share the parent machine's one sequential stream. Description
 // files and golden fixtures are generated with Enrich; opt in to
@@ -131,53 +129,24 @@ func EnrichForked(m machine.Machine, t *topo.Topology, ps []Plugin, workers int)
 	})
 }
 
-// forkProbes runs n independent probes over a bounded worker pool, probe i
-// on the fork ForkPair(tag, i), and returns the results in probe order. Any
-// probe error fails the whole run (and stops scheduling further probes).
-func forkProbes[T any](fk machine.Forker, tag, n, workers int, probe func(m machine.Machine, i int) (T, error)) ([]T, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	out := make([]T, n)
-	errs := make([]error, n)
-	var next int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				fm, err := fk.ForkPair(tag, i)
-				if err == nil {
-					out[i], err = probe(fm, i)
-				}
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		for _, err := range errs {
+// forEachProbe runs probe i, for every i in [0, n), on its own fork
+// ForkPair(tag, i) over the shared fork pool (machine.RunForks); the first
+// error fails the whole run and stops scheduling further probes. Every
+// forked plugin probes memory, so the fork's prober comes checked.
+func forEachProbe(fk machine.Forker, tag, n, workers int, probe func(fm machine.Machine, prober machine.MemoryProber, i int) error) error {
+	return machine.RunForks(context.Background(), workers, n, func() func(int) error {
+		return func(i int) error {
+			fm, err := fk.ForkPair(tag, i)
 			if err != nil {
-				return nil, err
+				return err
 			}
+			prober, ok := fm.(machine.MemoryProber)
+			if !ok {
+				return fmt.Errorf("fork of %s does not support memory probes", fm.Name())
+			}
+			return probe(fm, prober, i)
 		}
-	}
-	return out, nil
+	})
 }
 
 // repCtx returns a representative hardware context of each socket (its
@@ -271,27 +240,24 @@ func (p MemLatency) RunForked(fk machine.Forker, m machine.Machine, t *topo.Topo
 	}
 	reps := repCtx(t)
 	nN := t.NumNodes()
-	vals, err := forkProbes(fk, probeTagMemLat, len(reps)*nN, workers, func(fm machine.Machine, i int) (int64, error) {
-		prober, ok := fm.(machine.MemoryProber)
-		if !ok {
-			return 0, fmt.Errorf("fork of %s does not support memory probes", m.Name())
-		}
+	lat := make([][]int64, len(reps))
+	for s := range lat {
+		lat[s] = make([]int64, nN)
+	}
+	err := forEachProbe(fk, probeTagMemLat, len(reps)*nN, workers, func(fm machine.Machine, prober machine.MemoryProber, i int) error {
 		s, n := i/nN, i%nN
 		th, err := fm.NewThread(reps[s])
 		if err != nil {
-			return 0, err
+			return err
 		}
 		dvfsWait(fm, th)
-		return medianOfChunks(16, func(chunk int) int64 {
+		lat[s][n] = medianOfChunks(16, func(chunk int) int64 {
 			return prober.MemRandomAccess(th, n, chunk)
-		}, probes), nil
+		}, probes)
+		return nil
 	})
 	if err != nil {
 		return err
-	}
-	lat := make([][]int64, len(reps))
-	for s := range lat {
-		lat[s] = vals[s*nN : (s+1)*nN]
 	}
 	spec.MemLat = lat
 	return nil
@@ -398,34 +364,24 @@ func (p MemBandwidth) RunForked(fk machine.Forker, m machine.Machine, t *topo.To
 	nN := t.NumNodes()
 	sockets := t.Sockets()
 	local0 := sockets[0].Local.ID
-	type bwProbe struct {
-		best float64
-		core float64 // single-core streaming BW, only from the (0, local0) probe
+	bw := make([][]float64, len(sockets))
+	for s := range bw {
+		bw[s] = make([]float64, nN)
 	}
-	vals, err := forkProbes(fk, probeTagMemBW, len(sockets)*nN, workers, func(fm machine.Machine, i int) (bwProbe, error) {
-		prober, ok := fm.(machine.MemoryProber)
-		if !ok {
-			return bwProbe{}, fmt.Errorf("fork of %s does not support memory probes", m.Name())
-		}
+	var coreBW float64 // single-core streaming BW, only from the (0, local0) probe
+	err := forEachProbe(fk, probeTagMemBW, len(sockets)*nN, workers, func(_ machine.Machine, prober machine.MemoryProber, i int) error {
 		s, n := i/nN, i%nN
 		ctxs := streamCtxs(t, sockets[s])
-		out := bwProbe{best: saturatedBW(prober, ctxs, n)}
+		bw[s][n] = saturatedBW(prober, ctxs, n)
 		if s == 0 && n == local0 && len(ctxs) > 0 {
-			out.core = prober.StreamBandwidth(ctxs[:1], local0)
+			coreBW = prober.StreamBandwidth(ctxs[:1], local0)
 		}
-		return out, nil
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	bw := make([][]float64, len(sockets))
-	for s := range bw {
-		bw[s] = make([]float64, nN)
-		for n := 0; n < nN; n++ {
-			bw[s][n] = vals[s*nN+n].best
-		}
-	}
-	spec.StreamCoreBW = vals[local0].core
+	spec.StreamCoreBW = coreBW
 	spec.MemBW = bw
 	fillSocketBW(t, bw, spec)
 	return nil
@@ -523,19 +479,17 @@ func (p Cache) RunForked(fk machine.Forker, m machine.Machine, t *topo.Topology,
 		loads = 256
 	}
 	sizes := cacheSweepSizes()
-	lats, err := forkProbes(fk, probeTagCache, len(sizes), workers, func(fm machine.Machine, i int) (int64, error) {
-		fprober, ok := fm.(machine.MemoryProber)
-		if !ok {
-			return 0, fmt.Errorf("fork of %s does not support memory probes", m.Name())
-		}
+	lats := make([]int64, len(sizes))
+	err := forEachProbe(fk, probeTagCache, len(sizes), workers, func(fm machine.Machine, fprober machine.MemoryProber, i int) error {
 		th, err := fm.NewThread(0)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		dvfsWait(fm, th)
-		return medianOfChunks(16, func(chunk int) int64 {
+		lats[i] = medianOfChunks(16, func(chunk int) int64 {
 			return fprober.CacheWorkingSetLoads(th, sizes[i], chunk)
-		}, loads), nil
+		}, loads)
+		return nil
 	})
 	if err != nil {
 		return err

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkColdInfer is the price of one uncached inference — what every
-// caller of InferPlatform paid before the registry existed.
+// uncached caller of mctop.Infer pays.
 func BenchmarkColdInfer(b *testing.B) {
 	opt := mctopalg.Options{Reps: 51}
 	for i := 0; i < b.N; i++ {

@@ -38,7 +38,7 @@ import (
 )
 
 // InferFunc produces a topology for a platform/seed/options triple. The
-// facade wires InferPlatformDetailed (simulate + infer + enrich) here; tests
+// facade wires its simulate + infer + enrich pipeline here; tests
 // substitute cheap or counting implementations.
 type InferFunc func(platform string, seed uint64, opt mctopalg.Options) (*topo.Topology, error)
 

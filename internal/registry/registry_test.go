@@ -367,7 +367,7 @@ func TestPlaceCachedAndDerivedFromCachedTopology(t *testing.T) {
 
 // TestCachedLookupSpeedup is the acceptance check of the service layer: a
 // cached Topology lookup must be at least 100x faster than a cold
-// InferPlatform. The margin in practice is ~10^4-10^5, so the assertion is
+// inference. The margin in practice is ~10^4-10^5, so the assertion is
 // far from flaky.
 func TestCachedLookupSpeedup(t *testing.T) {
 	r := New(Options{Infer: realInfer})

@@ -184,21 +184,33 @@ func ParseGenName(name string) (GenSpec, error) {
 	return spec, nil
 }
 
+// NumContexts returns the number of hardware contexts the spec generates,
+// S·C·T, without generating it. Non-positive dimensions and counts over
+// the generator cap wrap mctoperr.ErrInvalidRequest.
+func (g GenSpec) NumContexts() (int, error) {
+	bad := func(format string, args ...any) (int, error) {
+		return 0, fmt.Errorf("sim: %w: gen spec %q: %s",
+			mctoperr.ErrInvalidRequest, g.Name(), fmt.Sprintf(format, args...))
+	}
+	if g.Sockets < 1 || g.Cores < 1 || g.SMT < 1 {
+		return bad("non-positive dimensions %dx%dx%d", g.Sockets, g.Cores, g.SMT)
+	}
+	// Bounding each factor first keeps the product from overflowing.
+	if g.Sockets > genMaxContexts || g.Cores > genMaxContexts || g.SMT > genMaxContexts ||
+		g.Sockets*g.Cores*g.SMT > genMaxContexts {
+		return bad("%dx%dx%d contexts exceeds the generator cap %d", g.Sockets, g.Cores, g.SMT, genMaxContexts)
+	}
+	return g.Sockets * g.Cores * g.SMT, nil
+}
+
 // Generate builds the platform described by spec. The result is
 // deterministic (same spec, byte-identical platform), passes Validate, and
 // carries explicit SocketLatMatrix/SocketHopMatrix interconnect matrices
 // since mesh/ring/circulant diameters routinely exceed the golden machines'
 // 2.
 func Generate(spec GenSpec) (*Platform, error) {
-	bad := func(format string, args ...any) (*Platform, error) {
-		return nil, fmt.Errorf("sim: %w: gen spec %q: %s",
-			mctoperr.ErrInvalidRequest, spec.Name(), fmt.Sprintf(format, args...))
-	}
-	if spec.Sockets < 1 || spec.Cores < 1 || spec.SMT < 1 {
-		return bad("non-positive dimensions %dx%dx%d", spec.Sockets, spec.Cores, spec.SMT)
-	}
-	if n := spec.Sockets * spec.Cores * spec.SMT; n > genMaxContexts {
-		return bad("%d contexts exceeds the generator cap %d", n, genMaxContexts)
+	if _, err := spec.NumContexts(); err != nil {
+		return nil, err
 	}
 
 	adj, err := genAdjacency(spec)

@@ -194,3 +194,35 @@ func TestByNameGenerated(t *testing.T) {
 		t.Fatal("GenPrefix mismatch")
 	}
 }
+
+// TestNumContextsByName checks the name-only context count against the
+// built platforms, and that it fails exactly like ByName — including on
+// dimensions whose product would overflow.
+func TestNumContextsByName(t *testing.T) {
+	for _, name := range []string{"Ivy", "Westmere", "Haswell", "Opteron", "SPARC", "gen:ring:s4:c2:t2", "gen:circulant:s16:c8:t2:v3:n1"} {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := NumContextsByName(name); err != nil || n != p.NumContexts() {
+			t.Fatalf("NumContextsByName(%s) = %d, %v; want %d", name, n, err, p.NumContexts())
+		}
+	}
+	if n, err := NumContextsByName("gen:mesh:s1024:c512:t2"); err != nil || n != 1<<20 {
+		t.Fatalf("1M-context spec: %d, %v", n, err)
+	}
+	for name, want := range map[string]error{
+		"NoSuch":                              mctoperr.ErrUnknownPlatform,
+		"gen:ring:sX:c2:t2":                   mctoperr.ErrInvalidRequest,
+		"gen:ring:s0:c2:t2":                   mctoperr.ErrInvalidRequest,
+		"gen:mesh:s1024:c512:t4":              mctoperr.ErrInvalidRequest,
+		"gen:mesh:s4294967296:c4294967296:t1": mctoperr.ErrInvalidRequest,
+	} {
+		if _, err := NumContextsByName(name); !errors.Is(err, want) {
+			t.Errorf("NumContextsByName(%s): err %v, want %v", name, err, want)
+		}
+		if _, err := ByName(name); !errors.Is(err, want) {
+			t.Errorf("ByName(%s): err %v, want %v", name, err, want)
+		}
+	}
+}

@@ -685,7 +685,40 @@ func ByName(name string) (*Platform, error) {
 		}
 		return Generate(spec)
 	}
-	return nil, fmt.Errorf("sim: %w %q (one of Ivy, Westmere, Haswell, Opteron, SPARC, or a gen: spec)", mctoperr.ErrUnknownPlatform, name)
+	return nil, errUnknown(name)
+}
+
+func errUnknown(name string) error {
+	return fmt.Errorf("sim: %w %q (one of Ivy, Westmere, Haswell, Opteron, SPARC, or a gen: spec)", mctoperr.ErrUnknownPlatform, name)
+}
+
+// goldenContexts maps each golden platform's name to its context count.
+var goldenContexts = sync.OnceValue(func() map[string]int {
+	m := map[string]int{}
+	for _, p := range Platforms() {
+		m[p.Name] = p.NumContexts()
+	}
+	return m
+})
+
+// NumContextsByName returns how many hardware contexts the named platform
+// has without building it: golden platforms from a table, gen: specs as
+// S·C·T from the name. It fails like ByName — unknown names wrap
+// mctoperr.ErrUnknownPlatform, malformed gen: specs wrap
+// mctoperr.ErrInvalidRequest — except for gen: specs that parse but that
+// the generator rejects later (e.g. bad circulant generators).
+func NumContextsByName(name string) (int, error) {
+	if n, ok := goldenContexts()[name]; ok {
+		return n, nil
+	}
+	if !strings.HasPrefix(name, GenPrefix) {
+		return 0, errUnknown(name)
+	}
+	spec, err := ParseGenName(name)
+	if err != nil {
+		return 0, err
+	}
+	return spec.NumContexts()
 }
 
 // Custom builds a synthetic fully connected machine for property tests:

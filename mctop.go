@@ -52,9 +52,8 @@
 //	top, err := reg.TopologyContext(ctx, "Ivy", 42, opt)
 //	pl, err := reg.PlaceContext(ctx, "Ivy", 42, opt, "RR_CORE", 8)
 //
-// The pre-redesign facade (InferPlatform, Place, string-keyed policies,
-// the raw Options struct) is kept below as thin deprecated shims over the
-// new API; see README.md for the migration table.
+// README.md maps the removed pre-redesign facade (InferPlatform, Place) to
+// this API.
 //
 // The heavy lifting lives in the internal packages:
 //
@@ -131,26 +130,6 @@ type Options = mctopalg.Options
 // WithSamplingParams.
 type SamplingOptions = mctopalg.SamplingOptions
 
-// InferPlatform simulates one of the paper's machines with the given noise
-// seed, runs MCTOP-ALG on it, enriches the result with all four plugins,
-// and returns the topology.
-//
-// Deprecated: use Infer, which takes a context and functional options.
-func InferPlatform(name string, seed uint64) (*Topology, error) {
-	t, _, err := InferPlatformDetailed(name, seed, Options{Reps: 201})
-	return t, err
-}
-
-// InferPlatformDetailed is InferPlatform with explicit options and access
-// to the intermediate artifacts (the latency table, clusters, normalized
-// table — everything Figure 6 shows).
-//
-// Deprecated: use InferDetailed, which takes a context and functional
-// options.
-func InferPlatformDetailed(name string, seed uint64, opt Options) (*Topology, *InferResult, error) {
-	return inferPlatform(context.Background(), name, seed, opt)
-}
-
 // InferHost runs MCTOP-ALG on the real host, best effort (see
 // InferHostContext, which this delegates to with a background context).
 func InferHost(opt Options) (*Topology, *InferResult, error) {
@@ -163,20 +142,6 @@ func Load(path string) (*Topology, error) { return topo.LoadFile(path) }
 // Save writes a topology's description file ("created once, then used to
 // load the topology", Section 2).
 func Save(path string, t *Topology) error { return topo.SaveFile(path, t) }
-
-// Place builds a thread placement using one of the 12 policies of Table 2,
-// named as in the paper (e.g. "CON_HWC", "RR_CORE", "POWER"); nThreads = 0
-// uses every context the policy allows.
-//
-// Deprecated: use NewAlloc with a typed Policy (ResolvePolicy turns a name
-// into one), which also supports combinators and custom policies.
-func Place(t *Topology, policy string, nThreads int) (*Placement, error) {
-	pol, err := place.Resolve(policy)
-	if err != nil {
-		return nil, err
-	}
-	return place.NewFrom(t, pol, place.Options{NThreads: nThreads})
-}
 
 // PolicyNames lists the 12 builtin placement policies.
 func PolicyNames() []string {
@@ -470,10 +435,10 @@ func NewRegistry(maxEntries int, opts ...RegistryOption) *Registry {
 	})
 }
 
-// MustInfer is InferPlatform for examples and tests that cannot proceed
-// without a topology.
+// MustInfer is Infer with a background context for examples and tests
+// that cannot proceed without a topology.
 func MustInfer(name string, seed uint64) *Topology {
-	t, err := InferPlatform(name, seed)
+	t, err := Infer(context.Background(), name, seed)
 	if err != nil {
 		panic(fmt.Sprintf("mctop: inferring %s: %v", name, err))
 	}
