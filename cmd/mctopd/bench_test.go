@@ -82,3 +82,50 @@ func BenchmarkQueryIndex_BatchPlace(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHandlerWarm_* is the in-process handler rung of the ladder: one
+// warm request through routes() — middleware, parsing, registry hit and
+// render — into an httptest.ResponseRecorder, with no socket.
+func benchHandlerWarm(b *testing.B, method, path, body string) {
+	h := testServer().routes()
+	serveOnce := func() {
+		rec := httptest.NewRecorder()
+		var r *http.Request
+		if body != "" {
+			r = httptest.NewRequest(method, path, strings.NewReader(body))
+		} else {
+			r = httptest.NewRequest(method, path, nil)
+		}
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.Bytes())
+		}
+	}
+	serveOnce() // infer, place and render once: every timed request is warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveOnce()
+	}
+}
+
+func BenchmarkHandlerWarm_Topology(b *testing.B) {
+	benchHandlerWarm(b, "GET", "/v1/topology?platform=Ivy&seed=42&reps=51", "")
+}
+
+func BenchmarkHandlerWarm_Place(b *testing.B) {
+	benchHandlerWarm(b, "GET", "/v1/place?platform=Ivy&seed=42&reps=51&policy=CON_HWC&threads=30", "")
+}
+
+func BenchmarkHandlerWarm_Batch(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString(`{"platform": "Ivy", "seed": 42, "reps": 51, "requests": [`)
+	for t, pol := range benchSweep {
+		if t > 0 {
+			sb.WriteString(",")
+		}
+		sb.WriteString(`{"policy": "` + pol + `", "threads": ` + string(rune('1'+t%8)) + `}`)
+	}
+	sb.WriteString(`]}`)
+	benchHandlerWarm(b, "POST", "/v1/place/batch", sb.String())
+}

@@ -111,6 +111,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -540,7 +541,7 @@ func exemptFromDeadline(r *http.Request) bool {
 	if exemptFromBackpressure(r.URL.Path) {
 		return true
 	}
-	return r.URL.Path == "/v1/place/batch" && r.URL.Query().Get("stream") == "1"
+	return r.URL.Path == "/v1/place/batch" && params(r).Get("stream") == "1"
 }
 
 // withBackpressure sheds requests beyond the in-flight bound with 503 +
@@ -708,8 +709,7 @@ func validateReps(reps int) error {
 // query pulls the common platform/seed/options parameters. seed defaults to
 // 42, reps to the daemon default; every failure wraps a sentinel error
 // (ErrUnknownPlatform, ErrInvalidRequest) for statusOf.
-func (s *server) query(r *http.Request) (platform string, seed uint64, opt mctop.Options, err error) {
-	q := r.URL.Query()
+func (s *server) query(q url.Values) (platform string, seed uint64, opt mctop.Options, err error) {
 	platform = q.Get("platform")
 	if err := s.validatePlatform(platform); err != nil {
 		return "", 0, opt, err
@@ -743,7 +743,9 @@ func (s *server) query(r *http.Request) (platform string, seed uint64, opt mctop
 }
 
 // topologyResponse is the JSON view of a topology: the full spec (the same
-// data the .mctop description file carries) plus summary dimensions.
+// data the .mctop description file carries) plus summary dimensions. The
+// per-request fields come last: the stored rendering is everything before
+// them (render.go).
 type topologyResponse struct {
 	Platform string    `json:"platform"`
 	Seed     uint64    `json:"seed"`
@@ -758,14 +760,15 @@ type topologyResponse struct {
 }
 
 func (s *server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	platform, seed, opt, err := s.query(r)
+	q := params(r)
+	platform, seed, opt, err := s.query(q)
 	if err != nil {
 		writeErrStatus(w, err)
 		return
 	}
 	// Validate the format before paying for an inference: a typo must not
 	// cost an O(N²) measurement run.
-	format := r.URL.Query().Get("format")
+	format := q.Get("format")
 	switch format {
 	case "", "json", "mctop", "dot":
 	default:
@@ -785,35 +788,45 @@ func (s *server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	case "mctop":
 		// Encode to a buffer first: writing straight to w would commit a
 		// 200 before an encoding failure could surface.
-		var buf bytes.Buffer
-		spec := top.Spec()
-		if err := topo.Encode(&buf, &spec); err != nil {
+		b, err := top.View("mctop", func() ([]byte, error) {
+			var buf bytes.Buffer
+			spec := top.Spec()
+			err := topo.Encode(&buf, &spec)
+			return buf.Bytes(), err
+		})
+		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(buf.Bytes())
+		w.Write(b)
 	case "dot":
+		b, _ := top.View("dot", func() ([]byte, error) { return []byte(top.DotCrossSocket()), nil }) // cannot fail
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		fmt.Fprint(w, top.DotCrossSocket())
+		w.Write(b)
 	default: // json
-		writeJSON(w, http.StatusOK, topologyResponse{
-			Platform: platform,
-			Seed:     seed,
-			Contexts: top.NumHWContexts(),
-			Cores:    top.NumCores(),
-			Sockets:  top.NumSockets(),
-			Nodes:    top.NumNodes(),
-			SMTWays:  top.SMTWays(),
-			Spec:     top.Spec(),
-			Cached:   cached,
-			ServedIn: time.Since(start).String(),
+		head, err := top.View(viewKey("json", platform, seed), func() ([]byte, error) {
+			return renderHead(topologyResponse{
+				Platform: platform,
+				Seed:     seed,
+				Contexts: top.NumHWContexts(),
+				Cores:    top.NumCores(),
+				Sockets:  top.NumSockets(),
+				Nodes:    top.NumNodes(),
+				SMTWays:  top.SMTWays(),
+				Spec:     top.Spec(),
+			}, cachedField)
 		})
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeStored(w, head, strconv.FormatBool(cached), servedInOpen, time.Since(start).String(), servedInClose)
 	}
 }
 
 // placeResponse carries the placement's context assignment plus the derived
-// Figure 7 report.
+// Figure 7 report; served_in, per request, comes last.
 type placeResponse struct {
 	Platform     string  `json:"platform"`
 	Seed         uint64  `json:"seed"`
@@ -829,12 +842,12 @@ type placeResponse struct {
 }
 
 func (s *server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	platform, seed, opt, err := s.query(r)
+	q := params(r)
+	platform, seed, opt, err := s.query(q)
 	if err != nil {
 		writeErrStatus(w, err)
 		return
 	}
-	q := r.URL.Query()
 	policy := q.Get("policy")
 	if policy == "" {
 		writeErrStatus(w, fmt.Errorf("%w: missing ?policy= (one of: %s)", mctoperr.ErrInvalidRequest, strings.Join(mctop.PolicyNames(), ", ")))
@@ -857,19 +870,25 @@ func (s *server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, placeResponse{
-		Platform:     platform,
-		Seed:         seed,
-		Policy:       pl.PolicyName(),
-		NThreads:     pl.NThreads(),
-		Contexts:     pl.Contexts(),
-		NCores:       pl.NCores(),
-		CtxPerSocket: pl.CtxPerSocket(),
-		MaxLatency:   pl.MaxLatency(),
-		MinBandwidth: pl.MinBandwidth(),
-		Report:       pl.String(),
-		ServedIn:     time.Since(start).String(),
+	head, err := pl.View(viewKey("place", platform, seed), func() ([]byte, error) {
+		return renderHead(placeResponse{
+			Platform:     platform,
+			Seed:         seed,
+			Policy:       pl.PolicyName(),
+			NThreads:     pl.NThreads(),
+			Contexts:     pl.Contexts(),
+			NCores:       pl.NCores(),
+			CtxPerSocket: pl.CtxPerSocket(),
+			MaxLatency:   pl.MaxLatency(),
+			MinBandwidth: pl.MinBandwidth(),
+			Report:       pl.String(),
+		}, servedInField)
 	})
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeStored(w, head, time.Since(start).String(), servedInClose)
 }
 
 // maxBatchRequests bounds the placements one POST can demand, the
@@ -904,6 +923,8 @@ type batchItemResponse struct {
 	MinBandwidth float64 `json:"min_bandwidth_gbs,omitempty"`
 }
 
+// batchResponse is the batch answer's shape. writeBatch lays it out from
+// the items' stored bytes rather than encoding it; clients decode it.
 type batchResponse struct {
 	Platform string              `json:"platform"`
 	Seed     uint64              `json:"seed"`
@@ -987,7 +1008,7 @@ func (s *server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 	for i, item := range req.Requests {
 		reqs[i] = mctop.PlaceRequest{Policy: item.Policy, NThreads: item.Threads}
 	}
-	if r.URL.Query().Get("stream") == "1" {
+	if params(r).Get("stream") == "1" {
 		s.streamPlaceBatch(w, r, req.Platform, seed, opt, reqs)
 		return
 	}
@@ -997,16 +1018,25 @@ func (s *server) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, err)
 		return
 	}
-	resp := batchResponse{
-		Platform: req.Platform,
-		Seed:     seed,
-		Results:  make([]batchItemResponse, len(results)),
-	}
+	// Placed items come from their placements' stored bytes; inline errors
+	// are rendered per request.
+	var scratch bytes.Buffer
+	items := make([][]byte, len(results))
 	for i, res := range results {
-		resp.Results[i] = batchItem(req.Requests[i].Policy, res.Placement, res.Err)
+		if res.Err != nil {
+			items[i], err = batchItemJSON(&scratch, batchItem(req.Requests[i].Policy, nil, res.Err))
+		} else {
+			pl := res.Placement
+			items[i], err = pl.View("batch", func() ([]byte, error) {
+				return batchItemJSON(&scratch, batchItem("", pl, nil))
+			})
+		}
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
 	}
-	resp.ServedIn = time.Since(start).String()
-	writeJSON(w, http.StatusOK, resp)
+	writeBatch(w, req.Platform, seed, items, time.Since(start).String())
 }
 
 // streamPlaceBatch is the NDJSON variant of the batch endpoint
@@ -1054,7 +1084,7 @@ func (s *server) streamPlaceBatch(w http.ResponseWriter, r *http.Request, platfo
 // builder are 404s — they cannot name a cache entry this daemon could
 // ever produce.
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
+	key := params(r).Get("key")
 	if key == "" {
 		writeErrStatus(w, fmt.Errorf("%w: missing ?key= (a registry topology or placement key)", mctoperr.ErrInvalidRequest))
 		return
@@ -1160,7 +1190,7 @@ type statsResponse struct {
 // simply empty, not an error.
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	traces := s.tracer.Snapshot()
-	switch format := r.URL.Query().Get("format"); format {
+	switch format := params(r).Get("format"); format {
 	case "", "json":
 		w.Header().Set("Content-Type", "application/json")
 		trace.WriteJSON(w, traces)

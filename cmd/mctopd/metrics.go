@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -238,22 +240,35 @@ func routeLabel(path string) string {
 }
 
 // statusRecorder captures the response status for the request counter and
-// log line. It forwards Flush so the NDJSON streaming endpoint keeps its
-// per-line flushes through the middleware.
+// log line, and counts the request the moment the status is committed (the
+// first WriteHeader or Write): a response larger than net/http's buffer
+// flushes its headers mid-handler, and a client that has read them may move
+// on — and scrape — before the handler returns. It forwards Flush so the
+// NDJSON streaming endpoint keeps its per-line flushes through the
+// middleware.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	status        int
+	requests      *metrics.CounterVec
+	route, method string
+}
+
+// commit records the first committed status and counts the request under it.
+func (sr *statusRecorder) commit(code int) {
+	if sr.status != 0 {
+		return
+	}
+	sr.status = code
+	sr.requests.With(sr.route, sr.method, strconv3(code)).Inc()
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
+	sr.commit(code)
 	sr.ResponseWriter.WriteHeader(code)
 }
 
 func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
+	sr.commit(http.StatusOK)
 	return sr.ResponseWriter.Write(b)
 }
 
@@ -261,6 +276,18 @@ func (sr *statusRecorder) Flush() {
 	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// queryKey carries a request's parsed query string in its context.
+type queryKey struct{}
+
+// params returns the request's query parameters. instrument parses the
+// query string once per request and every layer below reads that parse.
+func params(r *http.Request) url.Values {
+	if q, ok := r.Context().Value(queryKey{}).(url.Values); ok {
+		return q
+	}
+	return r.URL.Query()
 }
 
 // instrument is the outermost middleware: it wraps every route (the
@@ -272,6 +299,11 @@ func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := routeLabel(r.URL.Path)
 		ctx, served := registry.ContextWithServed(r.Context())
+		var q url.Values // nil reads as empty
+		if r.URL.RawQuery != "" {
+			q = r.URL.Query()
+		}
+		ctx = context.WithValue(ctx, queryKey{}, q)
 
 		// Request ID: honor the caller's X-Request-ID, mint one otherwise
 		// (RequestID works on a disabled tracer), and echo it on every
@@ -295,13 +327,11 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			sp.SetAttr("request_id", reqID)
 		}
 
-		sr := &statusRecorder{ResponseWriter: w}
+		sr := &statusRecorder{ResponseWriter: w, requests: s.metrics.httpRequests, route: route, method: r.Method}
 		start := time.Now()
 		next.ServeHTTP(sr, r.WithContext(ctx))
 		dur := time.Since(start)
-		if sr.status == 0 {
-			sr.status = http.StatusOK // handler wrote nothing; net/http sends 200
-		}
+		sr.commit(http.StatusOK) // counts a handler that wrote nothing: net/http sends 200
 		if sp != nil {
 			sp.SetInt("status", int64(sr.status))
 			if sr.status >= 500 {
@@ -315,7 +345,6 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			}
 			sp.End()
 		}
-		s.metrics.httpRequests.With(route, r.Method, strconv3(sr.status)).Inc()
 		s.metrics.httpDuration.With(route).Observe(dur.Seconds())
 		if served.Tier != "" {
 			s.metrics.servedByTier.With(served.Tier).Inc()
@@ -331,7 +360,6 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			if sp != nil {
 				attrs = append(attrs, "trace_id", sp.TraceIDString(), "span_id", sp.SpanIDString())
 			}
-			q := r.URL.Query()
 			if v := q.Get("platform"); v != "" {
 				attrs = append(attrs, "platform", v)
 			}

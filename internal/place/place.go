@@ -12,6 +12,7 @@ package place
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -143,6 +144,23 @@ type Placement struct {
 	// taken, so PinNext starts scanning here instead of at 0 — O(1)
 	// amortized on the pin-heavy serving path. Unpin moves it back down.
 	free int
+
+	// fig holds the derived Figure 7 numbers, computed once by figure().
+	figOnce sync.Once
+	fig     figure7
+	// views holds byte renderings of this placement (View).
+	views topo.Views
+}
+
+// figure7 is the part of a placement's Figure 7 report every answer needs.
+// The assignment order never changes, so neither do these: figure()
+// derives them once, on first use.
+type figure7 struct {
+	sockets      []*topo.Socket // used sockets, first-use order
+	ctxPerSocket []int          // per used socket; non-nil even when empty
+	nCores       int
+	maxLatency   int64
+	minBandwidth float64
 }
 
 // Custom is the Policy() answer for placements built from a non-builtin
@@ -555,48 +573,53 @@ func (p *Placement) pinnedCtxs() []int {
 	return out
 }
 
+// figure derives the placement's figure7 on first use, in one pass over
+// the pinned contexts.
+func (p *Placement) figure() *figure7 {
+	p.figOnce.Do(func() {
+		f := &p.fig
+		pinned := p.pinnedCtxs()
+		slot := make([]int, p.t.NumSockets()) // socket id -> 1 + index into f.sockets
+		cores := make(map[*topo.HWCGroup]bool, len(pinned))
+		f.ctxPerSocket = []int{}
+		for _, c := range pinned {
+			hc := p.t.Context(c)
+			if slot[hc.Socket.ID] == 0 {
+				f.sockets = append(f.sockets, hc.Socket)
+				f.ctxPerSocket = append(f.ctxPerSocket, 0)
+				slot[hc.Socket.ID] = len(f.sockets)
+			}
+			f.ctxPerSocket[slot[hc.Socket.ID]-1]++
+			cores[hc.Core] = true
+		}
+		f.nCores = len(cores)
+		f.maxLatency = p.t.MaxLatencyBetween(pinned)
+		for _, s := range f.sockets {
+			if s.MemBW != nil {
+				f.minBandwidth += s.MemBW[s.Local.ID]
+			}
+		}
+	})
+	return &p.fig
+}
+
 // SocketsUsed returns the sockets the placement touches, in first-use
 // order.
 func (p *Placement) SocketsUsed() []*topo.Socket {
-	seen := map[int]bool{}
-	var out []*topo.Socket
-	for _, c := range p.pinnedCtxs() {
-		s := p.t.Context(c).Socket
-		if !seen[s.ID] {
-			seen[s.ID] = true
-			out = append(out, s)
-		}
-	}
-	return out
+	return append([]*topo.Socket(nil), p.figure().sockets...)
 }
 
 // NCores returns the number of distinct physical cores used.
-func (p *Placement) NCores() int {
-	seen := map[*topo.HWCGroup]bool{}
-	for _, c := range p.pinnedCtxs() {
-		seen[p.t.Context(c).Core] = true
-	}
-	return len(seen)
-}
+func (p *Placement) NCores() int { return p.figure().nCores }
 
 // CtxPerSocket returns, per used socket (in SocketsUsed order), how many
-// hardware contexts the placement occupies there.
-func (p *Placement) CtxPerSocket() []int {
-	sockets := p.SocketsUsed()
-	idx := map[int]int{}
-	for i, s := range sockets {
-		idx[s.ID] = i
-	}
-	counts := make([]int, len(sockets))
-	for _, c := range p.pinnedCtxs() {
-		counts[idx[p.t.Context(c).Socket.ID]]++
-	}
-	return counts
-}
+// hardware contexts the placement occupies there (a copy; empty, not nil,
+// for a placement that pins nothing).
+func (p *Placement) CtxPerSocket() []int { return slices.Clone(p.figure().ctxPerSocket) }
 
 // CoresPerSocket returns distinct cores per used socket.
 func (p *Placement) CoresPerSocket() []int {
-	sockets := p.SocketsUsed()
+	sockets := p.figure().sockets
 	idx := map[int]int{}
 	for i, s := range sockets {
 		idx[s.ID] = i
@@ -616,7 +639,7 @@ func (p *Placement) CoresPerSocket() []int {
 // BWProportions returns each used socket's share of the placement's
 // aggregate local memory bandwidth (Figure 7's "BW proportions").
 func (p *Placement) BWProportions() []float64 {
-	sockets := p.SocketsUsed()
+	sockets := p.figure().sockets
 	var sum float64
 	bws := make([]float64, len(sockets))
 	for i, s := range sockets {
@@ -637,28 +660,18 @@ func (p *Placement) BWProportions() []float64 {
 // MinBandwidth returns the aggregate local memory bandwidth of the used
 // sockets — the guaranteed streaming rate when every thread stays local
 // (Figure 7's "Min bandwidth").
-func (p *Placement) MinBandwidth() float64 {
-	var sum float64
-	for _, s := range p.SocketsUsed() {
-		if s.MemBW != nil {
-			sum += s.MemBW[s.Local.ID]
-		}
-	}
-	return sum
-}
+func (p *Placement) MinBandwidth() float64 { return p.figure().minBandwidth }
 
 // MaxLatency returns the maximum communication latency between any two
 // placed threads (Figure 7's "Max latency"; also the educated-backoff
 // quantum of Section 5).
-func (p *Placement) MaxLatency() int64 {
-	return p.t.MaxLatencyBetween(p.pinnedCtxs())
-}
+func (p *Placement) MaxLatency() int64 { return p.figure().maxLatency }
 
 // MaxPower estimates the placement's maximum power per used socket and in
 // total (Figure 7's "Max pow" lines). Zero when power data is unavailable.
 func (p *Placement) MaxPower(withDRAM bool) (perUsedSocket []float64, total float64) {
 	perAll, total := p.t.PowerEstimate(p.pinnedCtxs(), withDRAM)
-	for _, s := range p.SocketsUsed() {
+	for _, s := range p.figure().sockets {
 		perUsedSocket = append(perUsedSocket, perAll[s.ID])
 	}
 	return perUsedSocket, total
@@ -666,12 +679,12 @@ func (p *Placement) MaxPower(withDRAM bool) (perUsedSocket []float64, total floa
 
 // String renders the placement report of Figure 7.
 func (p *Placement) String() string {
+	f := p.figure()
 	var b strings.Builder
 	fmt.Fprintf(&b, "## MCTOP Placement    : %s\n", p.PolicyName())
-	fmt.Fprintf(&b, "#  # Cores            : %d\n", p.NCores())
-	ctxs := p.Contexts()
-	fmt.Fprintf(&b, "#  HW contexts (%d)   :", len(ctxs))
-	for i, c := range ctxs {
+	fmt.Fprintf(&b, "#  # Cores            : %d\n", f.nCores)
+	fmt.Fprintf(&b, "#  HW contexts (%d)   :", len(p.ctxs))
+	for i, c := range p.ctxs {
 		if i == 16 {
 			b.WriteString(" ...")
 			break
@@ -679,18 +692,17 @@ func (p *Placement) String() string {
 		fmt.Fprintf(&b, " %d", c)
 	}
 	b.WriteByte('\n')
-	sockets := p.SocketsUsed()
-	ids := make([]string, len(sockets))
-	for i, s := range sockets {
+	ids := make([]string, len(f.sockets))
+	for i, s := range f.sockets {
 		ids[i] = fmt.Sprintf("%d", s.ID)
 	}
-	fmt.Fprintf(&b, "#  Sockets (%d)        : %s\n", len(sockets), strings.Join(ids, " "))
-	fmt.Fprintf(&b, "#  # HW ctx / socket  : %s\n", joinInts(p.CtxPerSocket()))
+	fmt.Fprintf(&b, "#  Sockets (%d)        : %s\n", len(f.sockets), strings.Join(ids, " "))
+	fmt.Fprintf(&b, "#  # HW ctx / socket  : %s\n", joinInts(f.ctxPerSocket))
 	fmt.Fprintf(&b, "#  # Cores / socket   : %s\n", joinInts(p.CoresPerSocket()))
 	props := p.BWProportions()
 	parts := make([]string, len(props))
-	for i, f := range props {
-		parts[i] = fmt.Sprintf("%.3f", f)
+	for i, x := range props {
+		parts[i] = fmt.Sprintf("%.3f", x)
 	}
 	fmt.Fprintf(&b, "#  BW proportions     : %s\n", strings.Join(parts, " "))
 	if p.t.Power().Available() {
@@ -699,9 +711,15 @@ func (p *Placement) String() string {
 		perD, totalD := p.MaxPower(true)
 		fmt.Fprintf(&b, "#  Max pow with DRAM  : %s= %.1f Watt\n", joinWatts(perD), totalD)
 	}
-	fmt.Fprintf(&b, "#  Max latency        : %d cycles\n", p.MaxLatency())
-	fmt.Fprintf(&b, "#  Min bandwidth      : %.2f GB/s\n", p.MinBandwidth())
+	fmt.Fprintf(&b, "#  Max latency        : %d cycles\n", f.maxLatency)
+	fmt.Fprintf(&b, "#  Min bandwidth      : %.2f GB/s\n", f.minBandwidth)
 	return b.String()
+}
+
+// View is the placement's render memo (see topo.Views): what a server
+// keeps of a cached placement's answers, so warm hits write stored bytes.
+func (p *Placement) View(key string, render func() ([]byte, error)) ([]byte, error) {
+	return p.views.View(key, render)
 }
 
 func joinInts(xs []int) string {

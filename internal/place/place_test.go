@@ -1,7 +1,9 @@
 package place
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -411,5 +413,58 @@ func TestSortedCtxsHelper(t *testing.T) {
 		if s[i] <= s[i-1] {
 			t.Fatal("not sorted")
 		}
+	}
+}
+
+// TestDerivedAnswersAreCopies: the Figure 7 numbers are derived once per
+// placement, so the slices the accessors return must be copies — a caller
+// mutating one cannot change a later answer — and the None policy, which
+// pins nothing, must report an empty (not nil) per-socket slice: servers
+// encode it as [] rather than null.
+func TestDerivedAnswersAreCopies(t *testing.T) {
+	tp := enriched(t, sim.Ivy())
+	pl, err := New(tp, ConHWC, Options{NThreads: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := pl.String()
+	ctxs, perSocket, sockets := pl.Contexts(), pl.CtxPerSocket(), pl.SocketsUsed()
+	wantCtxs, wantPerSocket := append([]int(nil), ctxs...), append([]int(nil), perSocket...)
+	for i := range ctxs {
+		ctxs[i] = -7
+	}
+	for i := range perSocket {
+		perSocket[i] = 1000
+	}
+	sockets[0] = nil
+	if got := pl.Contexts(); !reflect.DeepEqual(got, wantCtxs) {
+		t.Errorf("Contexts after mutating a returned copy = %v, want %v", got, wantCtxs)
+	}
+	if got := pl.CtxPerSocket(); !reflect.DeepEqual(got, wantPerSocket) {
+		t.Errorf("CtxPerSocket after mutating a returned copy = %v, want %v", got, wantPerSocket)
+	}
+	if pl.SocketsUsed()[0] == nil {
+		t.Error("SocketsUsed after mutating a returned copy changed")
+	}
+	if got := pl.String(); got != report {
+		t.Errorf("String after mutating returned copies changed:\n%s\nwant:\n%s", got, report)
+	}
+
+	none, err := New(tp, None, Options{NThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got := none.CtxPerSocket()
+		if got == nil || len(got) != 0 {
+			t.Fatalf("None CtxPerSocket = %#v, want a non-nil empty slice", got)
+		}
+		if b, _ := json.Marshal(got); string(b) != "[]" {
+			t.Fatalf("None CtxPerSocket encodes as %s, want []", b)
+		}
+	}
+	if none.NCores() != 0 || none.MaxLatency() != 0 || none.MinBandwidth() != 0 || len(none.SocketsUsed()) != 0 {
+		t.Errorf("None derived numbers: cores %d, max latency %d, min bandwidth %g, sockets %d; want all zero",
+			none.NCores(), none.MaxLatency(), none.MinBandwidth(), len(none.SocketsUsed()))
 	}
 }

@@ -170,6 +170,9 @@ type Topology struct {
 	// atomic pointer keeps the steady-state load inlinable.
 	idxOnce sync.Once
 	idx     atomic.Pointer[queryIndex]
+
+	// views holds byte renderings of this topology (View, view.go).
+	views Views
 }
 
 // Name returns the platform name the topology was inferred on.
