@@ -104,3 +104,48 @@ func TestExportRejectsBadKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestExportWritesStoredBytes: a topology export is its key line ahead of
+// the topology's stored .mctop answer, and a placement's sidecar is
+// rendered once and kept with the placement — a later export, or a
+// render of the same view, finds the bytes already stored.
+func TestExportWritesStoredBytes(t *testing.T) {
+	srv := testServer()
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	opt := mctop.NewOptions(mctop.WithReps(51))
+	topoKey := registry.TopoKey("Ivy", 42, opt)
+	placeKey := fmt.Sprintf("place|%s|MCTOP_PLACE_RR_CORE|8", topoKey)
+	for _, key := range []string{topoKey, placeKey, topoKey, placeKey} {
+		if resp, body := get(t, ts, exportPath(key)); resp.StatusCode != 200 {
+			t.Fatalf("export %s: %d %s", key, resp.StatusCode, body)
+		}
+	}
+	top, err := srv.reg.Topology("Ivy", 42, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := srv.reg.Place("Ivy", 42, opt, "MCTOP_PLACE_RR_CORE", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerender := func() ([]byte, error) {
+		t.Error("an exported view was not stored")
+		return nil, nil
+	}
+	mct, _ := top.View("mctop", rerender)
+	side, _ := pl.View("sidecar|"+placeKey, rerender)
+
+	_, body := get(t, ts, exportPath(topoKey))
+	if !bytes.Equal(body, append([]byte(spool.KeyLine(topoKey)), mct...)) {
+		t.Fatal("topology export is not its key line and the stored .mctop answer")
+	}
+	var want bytes.Buffer
+	if err := spool.EncodeSidecar(&want, placeKey, topoKey, pl); err != nil {
+		t.Fatal(err)
+	}
+	if _, body := get(t, ts, exportPath(placeKey)); !bytes.Equal(body, want.Bytes()) || !bytes.Equal(side, want.Bytes()) {
+		t.Fatal("placement export differs from the spool's sidecar encoding")
+	}
+}

@@ -786,14 +786,7 @@ func (s *server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	}
 	switch format {
 	case "mctop":
-		// Encode to a buffer first: writing straight to w would commit a
-		// 200 before an encoding failure could surface.
-		b, err := top.View("mctop", func() ([]byte, error) {
-			var buf bytes.Buffer
-			spec := top.Spec()
-			err := topo.Encode(&buf, &spec)
-			return buf.Bytes(), err
-		})
+		b, err := mctopView(top)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
@@ -1076,20 +1069,23 @@ func (s *server) streamPlaceBatch(w http.ResponseWriter, r *http.Request, platfo
 // serves the entry as its interchange file — a `#key`-headed .mctop
 // description file for topology keys, a .place sidecar for placement keys
 // — exactly the bytes the spool tier persists, which is what the remote
-// store tier on an edge daemon consumes. The key is parsed back into the
-// request it encodes and resolved through the registry, so an origin
-// serves from its cache/spool when warm and infers (singleflight, compute
-// semaphore and all) when cold: one origin can feed a fleet of edges that
-// never infer. Keys that do not round-trip through the registry's own key
-// builder are 404s — they cannot name a cache entry this daemon could
-// ever produce.
+// store tier on an edge daemon consumes. Topology and placement files come
+// from stored bytes: a key line ahead of the topology's stored .mctop
+// answer, and a sidecar rendered once per placement. The key is parsed
+// back into the request it encodes and resolved through the registry, so
+// an origin serves from its cache/spool when warm and infers
+// (singleflight, compute semaphore and all) when cold: one origin can feed
+// a fleet of edges that never infer. Keys that do not round-trip through
+// the registry's own key builder are 404s — they cannot name a cache entry
+// this daemon could ever produce.
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 	key := params(r).Get("key")
 	if key == "" {
 		writeErrStatus(w, fmt.Errorf("%w: missing ?key= (a registry topology or placement key)", mctoperr.ErrInvalidRequest))
 		return
 	}
-	var buf bytes.Buffer
+	var keyLine string // written ahead of body when set
+	var body []byte
 	switch {
 	case strings.HasPrefix(key, "topo|"):
 		platform, seed, opt, err := registry.ParseTopoKey(key)
@@ -1106,10 +1102,11 @@ func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 			writeErrStatus(w, err)
 			return
 		}
-		if err := spool.EncodeTopology(&buf, key, top); err != nil {
+		if body, err = mctopView(top); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
+		keyLine = spool.KeyLine(key)
 	case strings.HasPrefix(key, "place|"):
 		topoKey, policy, threads, err := registry.ParsePlaceKey(key)
 		if err != nil {
@@ -1130,7 +1127,14 @@ func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 			writeErrStatus(w, err)
 			return
 		}
-		if err := spool.EncodeSidecar(&buf, key, topoKey, pl); err != nil {
+		// The view is keyed by the export key, which the sidecar embeds: a
+		// policy alias names the same placement under another key.
+		body, err = pl.View("sidecar|"+key, func() ([]byte, error) {
+			var buf bytes.Buffer
+			err := spool.EncodeSidecar(&buf, key, topoKey, pl)
+			return buf.Bytes(), err
+		})
+		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -1151,17 +1155,20 @@ func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("mapping %q is not cached on this daemon", key))
 			return
 		}
+		var buf bytes.Buffer
 		if err := spool.EncodeMapSidecar(&buf, key, topoKey, v.(*mctop.Mapping)); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
+		body = buf.Bytes()
 	default:
 		writeErr(w, http.StatusNotFound,
 			fmt.Errorf("%w: key %q is not a topology, placement or mapping key", mctoperr.ErrInvalidRequest, key))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(buf.Bytes())
+	io.WriteString(w, keyLine)
+	w.Write(body)
 }
 
 // validateExport applies the same request bounds to a parsed key that the

@@ -15,7 +15,21 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"repro/internal/topo"
 )
+
+// mctopView is the topology's description file, rendered once. It is
+// encoded to a buffer, never straight to a response: writing to w would
+// commit a 200 before an encoding failure could surface.
+func mctopView(top *topo.Topology) ([]byte, error) {
+	return top.View("mctop", func() ([]byte, error) {
+		var buf bytes.Buffer
+		spec := top.Spec()
+		err := topo.Encode(&buf, &spec)
+		return buf.Bytes(), err
+	})
+}
 
 // viewKey names a stored rendering that embeds the request's platform and
 // seed, so one object can never answer with another request's fields.

@@ -241,3 +241,34 @@ func TestPlaceBatchContextCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// binderTier is an LRU tier that takes a topology source, as the spool and
+// remote tiers do.
+type binderTier struct {
+	*LRU
+	src TopologySource
+}
+
+func (b *binderTier) BindTopologies(src TopologySource) { b.src = src }
+
+// TestTieredBindsTopologySource: NewTiered hands a binder tier the chain's
+// topology lookup, which walks from the fastest tier and promotes a
+// lower-tier hit like any other read.
+func TestTieredBindsTopologySource(t *testing.T) {
+	fast, slow := NewLRU(4, 1), &binderTier{LRU: NewLRU(4, 1)}
+	top := &topo.Topology{}
+	slow.Put(KindTopology, "t", top)
+	NewTiered(fast, slow)
+	if slow.src == nil {
+		t.Fatal("NewTiered did not bind the tier")
+	}
+	if got, ok := slow.src(context.Background(), "t"); !ok || got != top {
+		t.Fatalf("source = %p, %v; want the slow tier's topology", got, ok)
+	}
+	if v, ok := fast.Get(KindTopology, "t"); !ok || v != top {
+		t.Fatal("source hit was not promoted into the fast tier")
+	}
+	if _, ok := slow.src(context.Background(), "absent"); ok {
+		t.Fatal("source hit on an absent key")
+	}
+}

@@ -18,7 +18,7 @@ type LRU struct {
 	misses    atomic.Int64
 	puts      atomic.Int64
 	evictions atomic.Int64
-	kinds     kindCounters
+	kinds     KindCounters
 }
 
 // TierName implements TierNamer.
@@ -89,14 +89,14 @@ func (l *LRU) Get(kind Kind, key string) (any, bool) {
 	if !ok {
 		s.mu.Unlock()
 		l.misses.Add(1)
-		l.kinds.miss(kind)
+		l.kinds.Miss(kind)
 		return nil, false
 	}
 	s.order.MoveToFront(el)
 	v := el.Value.(*lruEntry).val
 	s.mu.Unlock()
 	l.hits.Add(1)
-	l.kinds.hit(kind)
+	l.kinds.Hit(kind)
 	return v, true
 }
 
@@ -183,6 +183,6 @@ func (l *LRU) Stats() []StoreStats {
 		}
 		s.mu.Unlock()
 	}
-	st.Kinds = l.kinds.snapshot(st.Topologies, st.Placements, st.Mappings)
+	st.Kinds = l.kinds.Snapshot(st.Topologies, st.Placements, st.Mappings)
 	return []StoreStats{st}
 }

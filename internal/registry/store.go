@@ -3,6 +3,8 @@ package registry
 import (
 	"context"
 	"sync/atomic"
+
+	"repro/internal/topo"
 )
 
 // The tiered topology store. The registry's cache sits behind the Store
@@ -99,10 +101,10 @@ type KindStats struct {
 	Entries   int   `json:"entries"`
 }
 
-// kindCounters is the shared per-kind atomic counter block store tiers
-// embed: one slot per Kind, observed on the Get path with a single atomic
-// add each.
-type kindCounters struct {
+// KindCounters is the per-kind atomic counter block every store tier
+// embeds: one slot per Kind, observed on the Get path with a single atomic
+// add each. The zero value is ready to use.
+type KindCounters struct {
 	hits      [numKinds]atomic.Int64
 	misses    [numKinds]atomic.Int64
 	evictions [numKinds]atomic.Int64
@@ -115,13 +117,14 @@ func kindIndex(k Kind) int {
 	return 0
 }
 
-func (c *kindCounters) hit(k Kind)   { c.hits[kindIndex(k)].Add(1) }
-func (c *kindCounters) miss(k Kind)  { c.misses[kindIndex(k)].Add(1) }
-func (c *kindCounters) evict(k Kind) { c.evictions[kindIndex(k)].Add(1) }
+// Hit, Miss and Evict count one Get outcome or eviction of kind k.
+func (c *KindCounters) Hit(k Kind)   { c.hits[kindIndex(k)].Add(1) }
+func (c *KindCounters) Miss(k Kind)  { c.misses[kindIndex(k)].Add(1) }
+func (c *KindCounters) Evict(k Kind) { c.evictions[kindIndex(k)].Add(1) }
 
-// snapshot fills StoreStats.Kinds (entries counts are the caller's, since
+// Snapshot fills StoreStats.Kinds (entries counts are the caller's, since
 // only the store knows its residency).
-func (c *kindCounters) snapshot(topoEntries, placeEntries, mapEntries int) map[string]KindStats {
+func (c *KindCounters) Snapshot(topoEntries, placeEntries, mapEntries int) map[string]KindStats {
 	entries := [numKinds]int{topoEntries, placeEntries, mapEntries}
 	out := make(map[string]KindStats, numKinds)
 	for k := Kind(0); k < numKinds; k++ {
@@ -184,6 +187,27 @@ type Closer interface {
 	Close() error
 }
 
+// TopologySource resolves the topology key a placement or mapping sidecar
+// names to the topology it was computed on.
+type TopologySource func(ctx context.Context, key string) (*topo.Topology, bool)
+
+// TopologyBinder is the optional Store extension for tiers that rebuild
+// sidecars (placements, mappings) on a topology they look up by key. On
+// its own such a tier reads the topology from itself; NewTiered binds it
+// to the chain instead, so a rebuilt sidecar shares the topology resident
+// in the fastest tier — index built, views rendered — and a topology is
+// fetched or decoded once, not once per sidecar. Binding happens before
+// the tier serves.
+type TopologyBinder interface {
+	BindTopologies(src TopologySource)
+}
+
+// AsTopology narrows a topology-kind read to its value.
+func AsTopology(v any, ok bool) (*topo.Topology, bool) {
+	t, _ := v.(*topo.Topology)
+	return t, ok && t != nil
+}
+
 // Tiered chains stores into one read-through/write-through Store: Get
 // consults tiers in order and promotes a lower-tier hit into every tier
 // above it (a cold LRU miss that hits the disk spool decodes once and is
@@ -192,8 +216,9 @@ type Tiered struct {
 	tiers []Store
 }
 
-// NewTiered composes tiers, fastest first. Nil tiers are skipped; at least
-// one non-nil tier is required.
+// NewTiered composes tiers, fastest first, and binds every TopologyBinder
+// among them to the chain's own topology lookup. Nil tiers are skipped; at
+// least one non-nil tier is required.
 func NewTiered(tiers ...Store) *Tiered {
 	t := &Tiered{}
 	for _, s := range tiers {
@@ -203,6 +228,15 @@ func NewTiered(tiers ...Store) *Tiered {
 	}
 	if len(t.tiers) == 0 {
 		panic("registry: NewTiered needs at least one tier")
+	}
+	src := func(ctx context.Context, key string) (*topo.Topology, bool) {
+		v, _, ok := t.GetWithTierContext(ctx, KindTopology, key)
+		return AsTopology(v, ok)
+	}
+	for _, s := range t.tiers {
+		if b, ok := s.(TopologyBinder); ok {
+			b.BindTopologies(src)
+		}
 	}
 	return t
 }

@@ -9,7 +9,10 @@
 // interchange format (`#key`-headed .mctop description files, .place
 // sidecars), so a fetched entry is byte-identical to what the origin would
 // spool — and is write-through-promoted into the edge's own spool by the
-// tier chain.
+// tier chain. A fetched sidecar's topology comes from that chain too
+// (registry.TopologyBinder): the edge's resident topology when it has one,
+// so a topology crosses the wire once per edge, not once per sidecar. A
+// Remote used on its own fetches the topology alongside each sidecar.
 //
 // The Store contract shapes every failure path: a store never fails, it
 // misses. Concretely:
@@ -107,21 +110,17 @@ type Remote struct {
 	down     time.Time            // origin-level: no fetch at all before this
 	fails    int                  // consecutive origin-level failures
 
-	// lastMu/lastKey/lastTopo memoize the most recently fetched topology:
-	// a placement sidecar references its topology by key, and a burst of
-	// placement fetches against one topology must not re-fetch (or
-	// re-decode) it per sidecar.
-	lastMu   sync.Mutex
-	lastKey  string
-	lastTopo *topo.Topology
+	// topologies resolves the topology a fetched sidecar names: this
+	// tier's own fetch until NewTiered binds it to the chain
+	// (BindTopologies).
+	topologies registry.TopologySource
 
 	hits    atomic.Int64
 	misses  atomic.Int64
 	errors  atomic.Int64
 	fetches atomic.Int64 // upstream requests actually issued
 
-	kindHits   [3]atomic.Int64
-	kindMisses [3]atomic.Int64
+	kinds registry.KindCounters
 
 	// observe, when set, receives one callback per upstream fetch attempt
 	// with its wall duration and outcome ("ok", "origin_fault",
@@ -132,16 +131,6 @@ type Remote struct {
 
 // TierName implements registry's TierNamer extension.
 func (r *Remote) TierName() string { return "remote" }
-
-func kindIndex(k registry.Kind) int {
-	switch k {
-	case registry.KindPlacement:
-		return 1
-	case registry.KindMapping:
-		return 2
-	}
-	return 0
-}
 
 // call is one in-flight upstream fetch; concurrent Gets for the key wait
 // on done and share the outcome.
@@ -234,6 +223,9 @@ func New(base string, opts ...Option) *Remote {
 		inflight:    make(map[string]*call),
 		neg:         make(map[string]time.Time),
 	}
+	r.topologies = func(ctx context.Context, key string) (*topo.Topology, bool) {
+		return registry.AsTopology(r.GetContext(ctx, registry.KindTopology, key))
+	}
 	for _, o := range opts {
 		o(r)
 	}
@@ -242,6 +234,10 @@ func New(base string, opts ...Option) *Remote {
 
 // Base returns the upstream base URL.
 func (r *Remote) Base() string { return r.base }
+
+// BindTopologies implements registry.TopologyBinder: fetched sidecars are
+// rebuilt on the topology src returns.
+func (r *Remote) BindTopologies(src registry.TopologySource) { r.topologies = src }
 
 // Get implements registry.Store: fetch the entry's description file from
 // the origin, degrading every failure to a miss.
@@ -269,7 +265,7 @@ func (r *Remote) GetContext(ctx context.Context, kind registry.Kind, key string)
 		// re-inference should say why the origin was not consulted.
 		trace.SpanFromContext(ctx).AddEvent("remote.backoff_skip")
 		r.misses.Add(1)
-		r.kindMisses[kindIndex(kind)].Add(1)
+		r.kinds.Miss(kind)
 		return nil, false
 	}
 	if c, ok := r.inflight[key]; ok {
@@ -278,11 +274,11 @@ func (r *Remote) GetContext(ctx context.Context, kind registry.Kind, key string)
 		<-c.done
 		if c.ok {
 			r.hits.Add(1)
-			r.kindHits[kindIndex(kind)].Add(1)
+			r.kinds.Hit(kind)
 			return c.val, true
 		}
 		r.misses.Add(1)
-		r.kindMisses[kindIndex(kind)].Add(1)
+		r.kinds.Miss(kind)
 		return nil, false
 	}
 	c := &call{done: make(chan struct{})}
@@ -345,11 +341,11 @@ func (r *Remote) GetContext(ctx context.Context, kind registry.Kind, key string)
 		r.logf("fetching %q: %v (degrading to a miss)", key, err)
 		r.errors.Add(1)
 		r.misses.Add(1)
-		r.kindMisses[kindIndex(kind)].Add(1)
+		r.kinds.Miss(kind)
 		return nil, false
 	}
 	r.hits.Add(1)
-	r.kindHits[kindIndex(kind)].Add(1)
+	r.kinds.Hit(kind)
 	return v, true
 }
 
@@ -457,9 +453,6 @@ func (r *Remote) decodeTopology(key string, body io.Reader) (*topo.Topology, err
 		// A mislabeled body must never land in the cache under this key.
 		return nil, fmt.Errorf("key header names %q", gotKey)
 	}
-	r.lastMu.Lock()
-	r.lastKey, r.lastTopo = key, t
-	r.lastMu.Unlock()
 	return t, nil
 }
 
@@ -471,9 +464,9 @@ func (r *Remote) decodePlacement(ctx context.Context, key string, body io.Reader
 	if side.Key != "" && side.Key != key {
 		return nil, fmt.Errorf("key header names %q", side.Key)
 	}
-	t, err := r.topologyFor(ctx, side.TopoKey)
-	if err != nil {
-		return nil, fmt.Errorf("topology %q: %w", side.TopoKey, err)
+	t, ok := r.topologies(ctx, side.TopoKey)
+	if !ok {
+		return nil, fmt.Errorf("topology %q is not loadable", side.TopoKey)
 	}
 	return place.Reconstruct(t, side.Policy, side.Ctxs)
 }
@@ -486,30 +479,11 @@ func (r *Remote) decodeMapping(ctx context.Context, key string, body io.Reader) 
 	if side.Key != "" && side.Key != key {
 		return nil, fmt.Errorf("key header names %q", side.Key)
 	}
-	t, err := r.topologyFor(ctx, side.TopoKey)
-	if err != nil {
-		return nil, fmt.Errorf("topology %q: %w", side.TopoKey, err)
+	t, ok := r.topologies(ctx, side.TopoKey)
+	if !ok {
+		return nil, fmt.Errorf("topology %q is not loadable", side.TopoKey)
 	}
 	return taskmap.Reconstruct(t, side.DAGName, side.DAGHash, side.Nodes, side.Edges, side.Algo, side.Cost, side.Assign)
-}
-
-// topologyFor resolves the topology a sidecar references: the memo first,
-// then a recursive Get — which rides the tier's own singleflight and
-// negative cache, so many sidecars of one topology fetch it once. The
-// context parents the nested fetch's span under the sidecar attempt.
-func (r *Remote) topologyFor(ctx context.Context, topoKey string) (*topo.Topology, error) {
-	r.lastMu.Lock()
-	if r.lastKey == topoKey && r.lastTopo != nil {
-		t := r.lastTopo
-		r.lastMu.Unlock()
-		return t, nil
-	}
-	r.lastMu.Unlock()
-	v, ok := r.GetContext(ctx, registry.KindTopology, topoKey)
-	if !ok {
-		return nil, fmt.Errorf("not fetchable")
-	}
-	return v.(*topo.Topology), nil
 }
 
 // Put implements registry.Store as a no-op: the fleet is pull-only — an
@@ -528,9 +502,6 @@ func (r *Remote) Purge() {
 	r.down = time.Time{}
 	r.fails = 0
 	r.mu.Unlock()
-	r.lastMu.Lock()
-	r.lastKey, r.lastTopo = "", nil
-	r.lastMu.Unlock()
 }
 
 // Stats implements registry.Store.
@@ -540,20 +511,7 @@ func (r *Remote) Stats() []registry.StoreStats {
 		Hits:   r.hits.Load(),
 		Misses: r.misses.Load(),
 		Errors: r.errors.Load(),
-		Kinds: map[string]registry.KindStats{
-			registry.KindTopology.String(): {
-				Hits:   r.kindHits[0].Load(),
-				Misses: r.kindMisses[0].Load(),
-			},
-			registry.KindPlacement.String(): {
-				Hits:   r.kindHits[1].Load(),
-				Misses: r.kindMisses[1].Load(),
-			},
-			registry.KindMapping.String(): {
-				Hits:   r.kindHits[2].Load(),
-				Misses: r.kindMisses[2].Load(),
-			},
-		},
+		Kinds:  r.kinds.Snapshot(0, 0, 0),
 	}}
 }
 

@@ -399,20 +399,6 @@ func TestPlacementFetchReconstructsViaTopology(t *testing.T) {
 	if requests.Load() != 2 {
 		t.Fatalf("placement fetch issued %d requests, want 2 (sidecar + topology)", requests.Load())
 	}
-	// A second placement referencing the same topology rides the
-	// topology memo: one more request, not two.
-	placeKey16 := "place|" + testKey + "|MCTOP_PLACE_RR_CORE|16"
-	pl16, err := place.NewFrom(top, place.RRCore, place.Options{NThreads: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sidecars.Store(placeKey16, pl16)
-	if _, ok := rm.Get(registry.KindPlacement, placeKey16); !ok {
-		t.Fatal("second placement fetch missed")
-	}
-	if requests.Load() != 3 {
-		t.Fatalf("second placement issued %d total requests, want 3 (topology memoized)", requests.Load())
-	}
 }
 
 // TestRetryRidesOutOriginBlip: one origin-level failure followed by a

@@ -107,6 +107,55 @@ func BenchmarkWarmStartPlacementLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmStartPlacementInterleaved is the spool read of a fleet
+// edge: placements of four topologies, round robin, each evicted from the
+// LRU while its topology stays resident there. Every iteration decodes one
+// sidecar and rebuilds it on the resident topology; no description file
+// is decoded.
+func BenchmarkWarmStartPlacementInterleaved(b *testing.B) {
+	opt := mctopalg.Options{Reps: 51}
+	platforms := []string{"Ivy", "Westmere", "Haswell", "Opteron"}
+	const perTopology = 8
+	sp, err := New(benchSpoolDir(b), WithLogf(b.Logf))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { sp.Close() })
+	// One shard of 12: the four topologies, touched every four reads, stay
+	// resident; a placement comes round again only after 32 reads.
+	r := registry.New(registry.Options{
+		Infer: realInfer,
+		Store: registry.NewTiered(registry.NewLRU(12, 1), sp),
+	})
+	lookup := func(i int) {
+		if _, err := r.Place(platforms[i%len(platforms)], 42, opt, "RR_CORE", 1+i/len(platforms)%perTopology); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < len(platforms)*perTopology; i++ {
+		lookup(i)
+	}
+	if err := r.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < len(platforms)*perTopology; i++ {
+		lookup(i) // every placement now reads from the spool
+	}
+	before := sp.Stats()[0].Kinds
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookup(i)
+	}
+	b.StopTimer()
+	after := sp.Stats()[0].Kinds
+	if n := after["placement"].Hits - before["placement"].Hits; n != int64(b.N) {
+		b.Fatalf("%d of %d lookups were spool reads", n, b.N)
+	}
+	if after["topology"] != before["topology"] {
+		b.Fatal("a lookup read a resident topology from the spool")
+	}
+}
+
 // TestWarmStartSpeedup is the PR's acceptance check, the restart analogue
 // of the registry's TestCachedLookupSpeedup: a warm-start lookup (cold
 // memory, populated spool) must be at least 50x faster than a cold

@@ -22,13 +22,16 @@ import (
 	"repro/internal/topo"
 )
 
+// KeyLine is the `#key` header line that leads every interchange file.
+func KeyLine(key string) string { return keyHeader + key + "\n" }
+
 // EncodeTopology writes a topology as a `#key`-headed MCTOP description
 // file: the interchange format of the spool, `mctop export` and mctopd's
 // /v1/export. The header is a comment, so any .mctop reader decodes the
 // body; key may be empty for a bare description file.
 func EncodeTopology(w io.Writer, key string, t *topo.Topology) error {
 	if key != "" {
-		if _, err := fmt.Fprintf(w, "%s%s\n", keyHeader, key); err != nil {
+		if _, err := io.WriteString(w, KeyLine(key)); err != nil {
 			return err
 		}
 	}
@@ -116,7 +119,7 @@ type Sidecar struct {
 //	end
 func EncodeSidecar(w io.Writer, key, topoKey string, p *place.Placement) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s%s\n", keyHeader, key)
+	bw.WriteString(KeyLine(key))
 	fmt.Fprintln(bw, placeMagic)
 	fmt.Fprintf(bw, "topokey %s\n", topoKey)
 	fmt.Fprintf(bw, "policy %s\n", p.PolicyName())
@@ -171,7 +174,7 @@ type MapSidecar struct {
 //	end
 func EncodeMapSidecar(w io.Writer, key, topoKey string, m *taskmap.Mapping) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s%s\n", keyHeader, key)
+	bw.WriteString(KeyLine(key))
 	fmt.Fprintln(bw, mapMagic)
 	fmt.Fprintf(bw, "topokey %s\n", topoKey)
 	if name := m.DAGName(); name != "" {
@@ -192,7 +195,7 @@ func EncodeMapSidecar(w io.Writer, key, topoKey string, m *taskmap.Mapping) erro
 // DecodeMapSidecar parses a .map sidecar.
 func DecodeMapSidecar(r io.Reader) (*MapSidecar, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	side := &MapSidecar{Nodes: -1, Cost: -1}
 	sawMagic, sawEnd, sawAlgo := false, false, false
 	for sc.Scan() {
@@ -290,7 +293,7 @@ func DecodeMapSidecar(r io.Reader) (*MapSidecar, error) {
 // DecodeSidecar parses a .place sidecar.
 func DecodeSidecar(r io.Reader) (*Sidecar, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	side := &Sidecar{}
 	sawMagic, sawEnd := false, false
 	nThreads := -1

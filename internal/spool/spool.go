@@ -12,19 +12,25 @@
 //     The header is a comment, so any .mctop reader decodes the file.
 //   - placements: <sanitized-key>-<fnv64>.place — a compact sidecar
 //     (format below) holding the policy name and assignment order plus the
-//     key of the topology it was computed on; loading one decodes that
-//     topology file and rebuilds the placement via place.Reconstruct,
-//     without re-running the policy.
+//     key of the topology it was computed on; loading one rebuilds the
+//     placement via place.Reconstruct, without re-running the policy.
 //   - mappings: <sanitized-key>-<fnv64>.map — the task-graph analogue of a
 //     placement sidecar: DAG identity, algorithm, cost and per-task
 //     assignment plus the topology key, rebuilt via taskmap.Reconstruct
 //     without re-running the mapper.
 //
+// A sidecar's topology comes from the tier chain the spool sits in
+// (registry.TopologyBinder): the LRU's resident topology when there is
+// one, else one decode of the .mctop file, promoted into the LRU so the
+// next sidecar of that topology shares it. A spool used on its own reads
+// the topology from its own files.
+//
 // Writes are write-behind: Put enqueues to a background writer (falling
 // back to a synchronous write when the queue is full, so nothing is ever
-// dropped), every file lands via write-temp-then-rename so a crash can
-// never leave a torn file under a spool name, and Flush/Close drain the
-// queue — what mctopd calls on SIGTERM. Reads that hit an undecodable or
+// dropped), a Get before the write lands serves the Put value, every file
+// lands via write-temp-then-rename so a crash can never leave a torn file
+// under a spool name, and Flush/Close drain the queue — what mctopd calls
+// on SIGTERM. Reads that hit an undecodable or
 // foreign file count an error, quarantine the file (moved under
 // quarantine/ so it is never rescanned, with the original bytes kept for
 // forensics), and report a miss: a broken disk degrades to re-inference,
@@ -84,6 +90,9 @@ type Spool struct {
 
 	mu      sync.Mutex
 	entries map[string]registry.Kind // keys with a durable file on disk
+	// queued holds the Puts the writer has not landed yet, so a Get in
+	// that window serves the value instead of missing to a slower tier.
+	queued map[string]writeOp
 
 	// sendMu serializes Put/Flush senders against Close closing the
 	// channel; closed flips first so late senders degrade to no-ops.
@@ -92,13 +101,9 @@ type Spool struct {
 	pending chan writeOp
 	done    chan struct{} // writer goroutine exited
 
-	// lastMu/lastKey/lastTopo memoize the most recently decoded topology:
-	// a warm-start burst loads many .place sidecars referencing one
-	// topology, and without the memo each would re-decode the same
-	// description file.
-	lastMu   sync.Mutex
-	lastKey  string
-	lastTopo *topo.Topology
+	// topologies resolves the topology a sidecar names: the spool's own
+	// files until NewTiered binds it to the chain (BindTopologies).
+	topologies registry.TopologySource
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -106,7 +111,7 @@ type Spool struct {
 	errors      atomic.Int64
 	evictions   atomic.Int64
 	quarantined atomic.Int64
-	kinds       kindCounters
+	kinds       registry.KindCounters
 
 	// writeFailed flips on a failed file write and clears on the next
 	// success: while set, the spool is effectively read-only (new entries
@@ -126,24 +131,6 @@ type Spool struct {
 
 // TierName implements registry's TierNamer extension.
 func (s *Spool) TierName() string { return "spool" }
-
-// kindCounters mirrors the per-kind breakdown the in-memory tier keeps, so
-// /metrics can chart hit ratios per entry kind for the disk tier too.
-type kindCounters struct {
-	hits      [3]atomic.Int64
-	misses    [3]atomic.Int64
-	evictions [3]atomic.Int64
-}
-
-func kindIndex(k registry.Kind) int {
-	switch k {
-	case registry.KindPlacement:
-		return 1
-	case registry.KindMapping:
-		return 2
-	}
-	return 0
-}
 
 // writeOp is one queued write, or a flush barrier (flush != nil).
 type writeOp struct {
@@ -207,8 +194,12 @@ func New(dir string, opts ...Option) (*Spool, error) {
 		dir:     dir,
 		logf:    func(format string, args ...any) { log.Printf("spool: "+format, args...) },
 		entries: make(map[string]registry.Kind),
+		queued:  make(map[string]writeOp),
 		pending: make(chan writeOp, writeBacklog),
 		done:    make(chan struct{}),
+	}
+	s.topologies = func(ctx context.Context, key string) (*topo.Topology, bool) {
+		return registry.AsTopology(s.GetContext(ctx, registry.KindTopology, key))
 	}
 	for _, o := range opts {
 		o(s)
@@ -223,6 +214,10 @@ func New(dir string, opts ...Option) (*Spool, error) {
 
 // Dir returns the spool directory.
 func (s *Spool) Dir() string { return s.dir }
+
+// BindTopologies implements registry.TopologyBinder: sidecars load on the
+// topology src returns.
+func (s *Spool) BindTopologies(src registry.TopologySource) { s.topologies = src }
 
 // scan indexes the directory by each file's key header. Only the header is
 // read here — full decoding (and its skip-and-log handling) happens on
@@ -344,7 +339,7 @@ func readKeyHeader(path string) (string, error) {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -382,13 +377,19 @@ func (s *Spool) Get(kind registry.Kind, key string) (any, bool) {
 func (s *Spool) GetContext(ctx context.Context, kind registry.Kind, key string) (any, bool) {
 	s.mu.Lock()
 	k, ok := s.entries[key]
+	q, queued := s.queued[key]
 	s.mu.Unlock()
+	if queued && q.kind == kind {
+		s.hits.Add(1)
+		s.kinds.Hit(kind)
+		return q.val, true
+	}
 	if !ok || k != kind {
 		s.misses.Add(1)
-		s.kinds.misses[kindIndex(kind)].Add(1)
+		s.kinds.Miss(kind)
 		return nil, false
 	}
-	_, sp := trace.Start(ctx, "spool.read")
+	ctx, sp := trace.Start(ctx, "spool.read")
 	sp.SetAttr("kind", kind.String())
 	defer sp.End()
 	var (
@@ -402,52 +403,35 @@ func (s *Spool) GetContext(ctx context.Context, kind registry.Kind, key string) 
 		case registry.KindTopology:
 			v, err = s.loadTopology(key)
 		case registry.KindPlacement:
-			v, err = s.loadPlacement(key)
+			v, err = s.loadPlacement(ctx, key)
 		case registry.KindMapping:
-			v, err = s.loadMapping(key)
+			v, err = s.loadMapping(ctx, key)
 		default:
 			err = fmt.Errorf("unknown entry kind %v", kind)
 		}
 	}
 	if err != nil {
 		// An entry that indexed at scan but fails to decode is corrupt
-		// (or, for a sidecar, references a corrupt topology): quarantine
+		// (or, for a sidecar, names a topology no tier can load): quarantine
 		// the requested entry's file so the next Get is a clean miss
 		// instead of another decode of the same broken bytes. The caller
 		// re-infers/fetches and re-Puts, restoring a good file.
 		sp.SetError(err)
 		sp.AddEvent("quarantine")
-		s.dropEntry(key)
+		s.mu.Lock()
+		delete(s.entries, key)
+		s.mu.Unlock()
 		s.quarantine(fileName(key, extOf(kind)), err)
 		s.misses.Add(1)
-		s.kinds.misses[kindIndex(kind)].Add(1)
+		s.kinds.Miss(kind)
 		return nil, false
 	}
 	s.hits.Add(1)
-	s.kinds.hits[kindIndex(kind)].Add(1)
+	s.kinds.Hit(kind)
 	return v, true
 }
 
-// dropEntry removes one key from the index and the decode memo.
-func (s *Spool) dropEntry(key string) {
-	s.mu.Lock()
-	delete(s.entries, key)
-	s.mu.Unlock()
-	s.lastMu.Lock()
-	if s.lastKey == key {
-		s.lastKey, s.lastTopo = "", nil
-	}
-	s.lastMu.Unlock()
-}
-
 func (s *Spool) loadTopology(key string) (*topo.Topology, error) {
-	s.lastMu.Lock()
-	if s.lastKey == key && s.lastTopo != nil {
-		t := s.lastTopo
-		s.lastMu.Unlock()
-		return t, nil
-	}
-	s.lastMu.Unlock()
 	path := filepath.Join(s.dir, fileName(key, topoExt))
 	gotKey, t, err := DecodeTopologyFile(path)
 	if err != nil {
@@ -456,13 +440,10 @@ func (s *Spool) loadTopology(key string) (*topo.Topology, error) {
 	if gotKey != "" && gotKey != key {
 		return nil, fmt.Errorf("key header names %q", gotKey)
 	}
-	s.lastMu.Lock()
-	s.lastKey, s.lastTopo = key, t
-	s.lastMu.Unlock()
 	return t, nil
 }
 
-func (s *Spool) loadPlacement(key string) (*place.Placement, error) {
+func (s *Spool) loadPlacement(ctx context.Context, key string) (*place.Placement, error) {
 	path := filepath.Join(s.dir, fileName(key, placeExt))
 	f, err := os.Open(path)
 	if err != nil {
@@ -476,14 +457,14 @@ func (s *Spool) loadPlacement(key string) (*place.Placement, error) {
 	if side.Key != "" && side.Key != key {
 		return nil, fmt.Errorf("key header names %q", side.Key)
 	}
-	t, err := s.loadTopology(side.TopoKey)
-	if err != nil {
-		return nil, fmt.Errorf("topology %q: %w", side.TopoKey, err)
+	t, ok := s.topologies(ctx, side.TopoKey)
+	if !ok {
+		return nil, fmt.Errorf("topology %q is not loadable", side.TopoKey)
 	}
 	return place.Reconstruct(t, side.Policy, side.Ctxs)
 }
 
-func (s *Spool) loadMapping(key string) (*taskmap.Mapping, error) {
+func (s *Spool) loadMapping(ctx context.Context, key string) (*taskmap.Mapping, error) {
 	path := filepath.Join(s.dir, fileName(key, mapExt))
 	f, err := os.Open(path)
 	if err != nil {
@@ -497,16 +478,17 @@ func (s *Spool) loadMapping(key string) (*taskmap.Mapping, error) {
 	if side.Key != "" && side.Key != key {
 		return nil, fmt.Errorf("key header names %q", side.Key)
 	}
-	t, err := s.loadTopology(side.TopoKey)
-	if err != nil {
-		return nil, fmt.Errorf("topology %q: %w", side.TopoKey, err)
+	t, ok := s.topologies(ctx, side.TopoKey)
+	if !ok {
+		return nil, fmt.Errorf("topology %q is not loadable", side.TopoKey)
 	}
 	return taskmap.Reconstruct(t, side.DAGName, side.DAGHash, side.Nodes, side.Edges, side.Algo, side.Cost, side.Assign)
 }
 
 // Put implements registry.Store: enqueue a write-behind, falling back to a
 // synchronous write when the queue is full so no accepted entry is ever
-// dropped. Puts after Close are dropped (and logged): the spool is no
+// dropped. The value is servable at once; Len counts it once its file
+// has landed. Puts after Close are dropped (and logged): the spool is no
 // longer durable once closed.
 func (s *Spool) Put(kind registry.Kind, key string, val any) {
 	s.sendMu.RLock()
@@ -516,12 +498,16 @@ func (s *Spool) Put(kind registry.Kind, key string, val any) {
 		s.errors.Add(1)
 		return
 	}
+	op := writeOp{kind: kind, key: key, val: val}
+	s.mu.Lock()
+	s.queued[key] = op
+	s.mu.Unlock()
 	select {
-	case s.pending <- writeOp{kind: kind, key: key, val: val}:
+	case s.pending <- op:
 		s.sendMu.RUnlock()
 	default:
 		s.sendMu.RUnlock()
-		s.writeTraced(writeOp{kind: kind, key: key, val: val})
+		s.writeTraced(op)
 	}
 }
 
@@ -544,6 +530,11 @@ func (s *Spool) writer() {
 // single-span trace — dropped when clean and unsampled, kept when it
 // fails.
 func (s *Spool) writeTraced(op writeOp) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.queued, op.key)
+		s.mu.Unlock()
+	}()
 	if !s.tracer.Enabled() {
 		s.write(op)
 		return
@@ -676,11 +667,6 @@ func (s *Spool) failWrite(op writeOp, path string, encode func(io.Writer) error,
 		s.mu.Lock()
 		s.entries[op.key] = op.kind
 		s.mu.Unlock()
-		s.lastMu.Lock()
-		if s.lastKey == op.key {
-			s.lastKey, s.lastTopo = "", nil
-		}
-		s.lastMu.Unlock()
 		return fmt.Errorf("torn write injected")
 	default: // "enospc", "eperm", "fail", ...
 		err := o.Err(faultinject.SpoolWrite)
@@ -723,9 +709,6 @@ func (s *Spool) Purge() {
 		}
 	}
 	s.entries = make(map[string]registry.Kind)
-	s.lastMu.Lock()
-	s.lastKey, s.lastTopo = "", nil
-	s.lastMu.Unlock()
 }
 
 // Stats implements registry.Store.
@@ -752,26 +735,7 @@ func (s *Spool) Stats() []registry.StoreStats {
 		st.Entries++
 	}
 	s.mu.Unlock()
-	st.Kinds = map[string]registry.KindStats{
-		registry.KindTopology.String(): {
-			Hits:      s.kinds.hits[0].Load(),
-			Misses:    s.kinds.misses[0].Load(),
-			Evictions: s.kinds.evictions[0].Load(),
-			Entries:   st.Topologies,
-		},
-		registry.KindPlacement.String(): {
-			Hits:      s.kinds.hits[1].Load(),
-			Misses:    s.kinds.misses[1].Load(),
-			Evictions: s.kinds.evictions[1].Load(),
-			Entries:   st.Placements,
-		},
-		registry.KindMapping.String(): {
-			Hits:      s.kinds.hits[2].Load(),
-			Misses:    s.kinds.misses[2].Load(),
-			Evictions: s.kinds.evictions[2].Load(),
-			Entries:   st.Mappings,
-		},
-	}
+	st.Kinds = s.kinds.Snapshot(st.Topologies, st.Placements, st.Mappings)
 	return []registry.StoreStats{st}
 }
 
@@ -892,13 +856,8 @@ func (s *Spool) evictLocked(key string, kind registry.Kind, size int64, mtime ti
 	}
 	delete(s.entries, key)
 	s.evictions.Add(1)
-	s.kinds.evictions[kindIndex(kind)].Add(1)
+	s.kinds.Evict(kind)
 	s.logf("evicted %s (%d bytes, mtime %s)", name, size, mtime.Format(time.RFC3339))
-	s.lastMu.Lock()
-	if s.lastKey == key {
-		s.lastKey, s.lastTopo = "", nil
-	}
-	s.lastMu.Unlock()
 	return true
 }
 

@@ -371,3 +371,30 @@ func TestPurgeRemovesFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestPutServableBeforeWriteLands: a Get between a Put and its
+// write-behind landing serves the Put value instead of missing.
+func TestPutServableBeforeWriteLands(t *testing.T) {
+	s := newTestSpool(t)
+	top := testTopo()
+	key := registry.TopoKey("Ivy", 1, mctopalg.Options{Reps: 51})
+	// Stall the writer: once Flush returns it is draining the queue it
+	// started with, so Puts sent to a fresh queue are never written.
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	drained := s.pending
+	s.pending = make(chan writeOp, writeBacklog)
+	defer func() { s.pending = drained }() // Close stops the writer through it
+
+	s.Put(registry.KindTopology, key, top)
+	if v, ok := s.Get(registry.KindTopology, key); !ok || v != top {
+		t.Fatalf("Get before the write landed = %v, %v; want the Put value", v, ok)
+	}
+	if _, ok := s.Get(registry.KindPlacement, key); ok {
+		t.Fatal("a queued topology served a placement read")
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d with no file written, want 0", s.Len())
+	}
+}

@@ -103,7 +103,7 @@ func unsanitize(s string) string {
 // Decode parses a description file back into a spec.
 func Decode(r io.Reader) (*Spec, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	line := 0
 	next := func() (string, bool) {
 		for sc.Scan() {
